@@ -17,7 +17,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +25,9 @@ from . import dbb, finprob, scenario
 from .errors import QfactError, ScenarioError
 from .genesis import run_successions
 from .hilbert import born_law, transform_between
-from .probtree import CompatibilityGroup, partition_branches
+from .probtree import build_tree
 from .reconstruct import RetrievalConfig, StateReconstructor, predict_heldout
 from .seeding import trial_generator
-
-CHUNK_TRIALS = 250_000  # rounded to a block multiple per law
 
 
 def _json_text(doc) -> str:
@@ -50,33 +47,6 @@ def _hist_csv(hist: dbb.Histogram1D) -> str:
     rows = [(float(lo), float(hi), float(m))
             for lo, hi, m in zip(hist.edges[:-1], hist.edges[1:], hist.mass)]
     return _csv_text(["bin_low", "bin_high", "mass"], rows)
-
-
-def _build_law_parallel(g, obs, n, eps, delta, n0, seed, base_offset, workers):
-    """Deterministic chunked law construction: chunk boundaries depend only
-    on n and the block size, never on the worker count."""
-    chunk = n0 * max(1, CHUNK_TRIALS // n0)
-    tasks = []
-    off = 0
-    while off < n:
-        cnt = min(chunk, n - off)
-        tasks.append((off, cnt))
-        off += cnt
-
-    def build(task):
-        t_off, cnt = task
-        return run_successions(g, obs, cnt, eps, delta, n0, seed,
-                               trial_offset=base_offset + t_off)
-
-    if workers <= 1 or len(tasks) == 1:
-        partials = [build(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(build, tasks))
-    law = partials[0]
-    for part in partials[1:]:
-        law = finprob.merge(law, part)
-    return law
 
 
 def _verdict_doc(law, verdict) -> dict:
@@ -118,10 +88,15 @@ def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
         blocks = []
         block_index = 0
         for seg in segments:
-            probs = np.asarray(seg["probs"], dtype=float)
+            try:
+                probs = np.asarray(seg["probs"], dtype=float)
+                n_blocks = int(seg["blocks"])
+            except KeyError as exc:
+                raise ScenarioError(
+                    f"stability.sampling.segments: missing field {exc}") from None
             if probs.size != len(labels):
                 raise ScenarioError("stability.sampling: probs/labels mismatch")
-            for _ in range(int(seg["blocks"])):
+            for _ in range(n_blocks):
                 counts = trial_generator(scn.seed, block_index).multinomial(
                     block_size, probs / probs.sum())
                 blocks.append({lab: int(c) for lab, c in zip(labels, counts) if c})
@@ -142,30 +117,23 @@ def cmd_tree(scn: scenario.Scenario, workers: int) -> dict[str, str]:
         raise ScenarioError("tree command needs a 'generation' recipe")
     plan = scn.measurement_plan()
     observables = [scn.observable(name) for name in plan["observables"]]
-    if plan["guided"]:
-        groups = [CompatibilityGroup(tuple(o.name for o in observables))]
-    else:
-        groups = partition_branches(observables)
+    tree = build_tree(scn.generation, observables, plan["n"], plan["epsilon"],
+                      plan["delta"], plan["block_size"], scn.seed,
+                      guided=plan["guided"], workers=workers)
 
     outputs: dict[str, str] = {}
-    law_files: dict[str, str] = {}
     verdicts: dict[str, dict] = {}
-    for idx, obs in enumerate(observables):
-        law = _build_law_parallel(scn.generation, obs, plan["n"],
-                                  plan["epsilon"], plan["delta"],
-                                  plan["block_size"], scn.seed,
-                                  base_offset=idx * plan["n"], workers=workers)
-        fname = f"law_{obs.name}.csv"
-        outputs[fname] = finprob.to_csv(law)
-        law_files[obs.name] = fname
-        if len(law.complete_blocks()) >= 2:
-            verdicts[obs.name] = _verdict_doc(law, finprob.check_convergence(law))
+    for _, laws in tree.branches:
+        for name, law in laws.items():
+            outputs[f"law_{name}.csv"] = finprob.to_csv(law)
+            if len(law.complete_blocks()) >= 2:
+                verdicts[name] = _verdict_doc(law, finprob.check_convergence(law))
     tree_doc = {
-        "trunk": scn.generation.id,
+        "trunk": tree.trunk,
         "branches": [{"members": list(grp.members),
-                      "laws": {m: law_files[m] for m in grp.members}}
-                     for grp in groups],
-        "trunk_only": len(groups) == 1,
+                      "laws": {m: f"law_{m}.csv" for m in grp.members}}
+                     for grp, _ in tree.branches],
+        "trunk_only": tree.trunk_only,
         "mpc": [],
         "stability": verdicts,
     }
@@ -213,10 +181,10 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
         plan = scn.measurement_plan()
         n = int(sect.get("n", plan["n"]))
         for idx, name in enumerate(names):
-            laws[name] = _build_law_parallel(
+            laws[name] = run_successions(
                 scn.generation, scn.observable(name), n, plan["epsilon"],
                 plan["delta"], plan["block_size"], scn.seed,
-                base_offset=idx * n, workers=workers)
+                trial_offset=idx * n, workers=workers)
         n_terms = sum(scn.observable(p).dim for p in partners)
         default_tol = RetrievalConfig.for_sampled_laws(n, n_terms).tol
         tol = float(sect.get("tol", default_tol))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeSingularityError
-from .seeding import counter_uniforms
-from .validation import check_rng
+from .seeding import counter_uniforms, stream_seed
 
 _AUX_DRAW = 1_000_000  # counter draw indices below this serve rejection rounds
 
@@ -106,7 +105,8 @@ class TwoWaveState:
     # genesis attachment protocol ------------------------------------------
 
     def sample_position(self, rng, n_periods: int = 8) -> np.ndarray:
-        z = sample_fringe_z(self, check_rng(rng), 1, n_periods=n_periods)[0]
+        z = _sample_fringe_counter(self, stream_seed(rng), np.arange(1),
+                                   n_periods)[0]
         return np.array([0.0, 0.0, z])
 
     def momentum_at(self, r, t) -> np.ndarray:
@@ -176,25 +176,11 @@ def trace_angles(kicks, spacings) -> np.ndarray:
 # fringe-position sampling
 # --------------------------------------------------------------------------
 
-def sample_fringe_z(s: TwoWaveState, rng, n: int, n_periods: int = 8
-                    ) -> np.ndarray:
-    """Draw z from the fringe density by rejection against its peak."""
-    rng = check_rng(rng)
-    lo, hi = s.fringe_window(n_periods)
-    out = np.empty(n)
-    remaining = np.arange(n)
-    while remaining.size:
-        z = lo + (hi - lo) * rng.random(remaining.size)
-        accept = rng.random(remaining.size) <= fringe_density(s, z)
-        out[remaining[accept]] = z[accept]
-        remaining = remaining[~accept]
-    return out
-
-
 def _sample_fringe_counter(s: TwoWaveState, seed: int, trial_ids: np.ndarray,
                            n_periods: int, draw_base: int = 0) -> np.ndarray:
-    """Counter-based rejection sampling: trial i consumes draws
-    (draw_base + 2r, draw_base + 2r + 1) for rounds r until acceptance."""
+    """Draw z from the fringe density by rejection against its peak.  Trial
+    i consumes counter draws (draw_base + 2r, draw_base + 2r + 1) for
+    rounds r until acceptance."""
     lo, hi = s.fringe_window(n_periods)
     out = np.empty(trial_ids.size)
     remaining = np.arange(trial_ids.size)
@@ -215,12 +201,10 @@ def _kick_draws(seed: int, trial_ids: np.ndarray, draw: int, law: str,
     u = counter_uniforms(seed, trial_ids, draw)
     if law == "uniform":
         return half_width * (2.0 * u - 1.0)
-    if law == "normal":
-        # Box-Muller against a companion draw
-        v = counter_uniforms(seed, trial_ids, draw + 500_000)
-        radius = np.sqrt(-2.0 * np.log(np.clip(u, 1e-300, None)))
-        return half_width * radius * np.cos(2.0 * np.pi * v)
-    raise ValueError(f"unknown kick law {law!r}")
+    # normal: Box-Muller against a companion draw
+    v = counter_uniforms(seed, trial_ids, draw + 500_000)
+    radius = np.sqrt(-2.0 * np.log(np.clip(u, 1e-300, None)))
+    return half_width * radius * np.cos(2.0 * np.pi * v)
 
 
 # --------------------------------------------------------------------------
@@ -252,6 +236,9 @@ class ExpConfig:
             raise ValueError("lambda_sep must be positive")
         if self.kappa is not None and self.kappa < 0:
             raise ValueError("kappa must be non-negative")
+        if self.kick_law not in ("uniform", "normal"):
+            raise ValueError(f"kick_law must be 'uniform' or 'normal', "
+                             f"got {self.kick_law!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
 
@@ -298,6 +285,24 @@ class ExpSummary:
     phase_relation_conserved: bool
 
 
+def _trial_draws(s: TwoWaveState, cfg: ExpConfig, seed: int,
+                 trial_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial draws of the experiment: the initial z from the fringe
+    density, and the total fringe displacement of one or two ionization
+    kicks (even odds) plus the configured elastic kicks."""
+    kappa = default_kappa(s) if cfg.kappa is None else cfg.kappa
+    n = trial_ids.size
+    z0 = _sample_fringe_counter(s, seed, trial_ids, cfg.z_periods)
+    n_ion = 1 + (counter_uniforms(seed, trial_ids, _AUX_DRAW) < 0.5).astype(int)
+    kick_total = np.zeros(n)
+    for k in range(2 + cfg.elastic_interactions_per_trial):
+        dd = _kick_draws(seed, trial_ids, _AUX_DRAW + 1 + k, cfg.kick_law,
+                         cfg.kick_half_width)
+        applies = np.ones(n, dtype=bool) if k >= 2 else (k < n_ion)
+        kick_total += np.where(applies, ionization_kick(dd, kappa), 0.0)
+    return z0, kick_total
+
+
 def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     """Run the two-layer experiment on an ensemble of specimens.
 
@@ -306,43 +311,16 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     configured elastic kicks), fly at the guided velocity to L2, register
     there, and estimate the momentum as M (r2 - r1)/(t2 - t1).
 
-    ``rng`` may be an integer seed (counter-based per-trial streams, so any
-    partition of the trial range reproduces the same ensemble) or a numpy
-    Generator.
+    ``rng`` takes an integer seed or a numpy Generator; a Generator only
+    supplies the seed of the counter streams.  Trial i draws from the
+    streams keyed by (seed, i), so any partition of the trial range
+    reproduces the same ensemble.
     """
-    kappa = default_kappa(s) if cfg.kappa is None else cfg.kappa
     n = cfg.n_trials
     v = guided_velocity(s)
     if v[0] <= 0:
         raise ValueError("guided speed must be positive to reach L2")
-
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        ids = np.arange(n)
-        z0 = _sample_fringe_counter(s, seed, ids, cfg.z_periods)
-        u_nion = counter_uniforms(seed, ids, _AUX_DRAW)
-        n_ion = 1 + (u_nion < 0.5).astype(int)
-        kick_total = np.zeros(n)
-        max_kicks = 2 + cfg.elastic_interactions_per_trial
-        for k in range(max_kicks):
-            dd = _kick_draws(seed, ids, _AUX_DRAW + 1 + k, cfg.kick_law,
-                             cfg.kick_half_width)
-            applies = np.ones(n, dtype=bool) if k >= 2 \
-                else (k < n_ion)
-            kick_total += np.where(applies, -kappa * dd, 0.0)
-    else:
-        gen = check_rng(rng)
-        z0 = sample_fringe_z(s, gen, n, cfg.z_periods)
-        n_ion = 1 + (gen.random(n) < 0.5).astype(int)
-        kick_total = np.zeros(n)
-        max_kicks = 2 + cfg.elastic_interactions_per_trial
-        for k in range(max_kicks):
-            if cfg.kick_law == "uniform":
-                dd = cfg.kick_half_width * (2.0 * gen.random(n) - 1.0)
-            else:
-                dd = cfg.kick_half_width * gen.normal(size=n)
-            applies = np.ones(n, dtype=bool) if k >= 2 else (k < n_ion)
-            kick_total += np.where(applies, -kappa * dd, 0.0)
+    z0, kick_total = _trial_draws(s, cfg, stream_seed(rng), np.arange(n))
 
     dt = cfg.lambda_sep / v[0]
     z2 = z0 + kick_total
@@ -388,15 +366,10 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
 
 
 def run_trace(s: TwoWaveState, cfg: ExpConfig, rng) -> TraceRecord:
-    """One specimen through the two layers, keeping the raw registrations."""
-    gen = check_rng(rng)
-    kappa = default_kappa(s) if cfg.kappa is None else cfg.kappa
-    z0 = float(sample_fringe_z(s, gen, 1, cfg.z_periods)[0])
-    n_ion = 1 if gen.random() < 0.5 else 2
-    kick = 0.0
-    for _ in range(n_ion + cfg.elastic_interactions_per_trial):
-        dd = cfg.kick_half_width * (2.0 * gen.random() - 1.0)
-        kick += ionization_kick(dd, kappa)
+    """One specimen through the two layers, keeping the raw registrations:
+    trial 0 of the draws ``simulate_exp`` makes from the same ``rng``."""
+    z0s, kicks = _trial_draws(s, cfg, stream_seed(rng), np.arange(1))
+    z0, kick = float(z0s[0]), float(kicks[0])
     v = guided_velocity(s)
     t2 = cfg.lambda_sep / v[0]
     r1 = np.array([0.0, 0.0, z0])
@@ -477,28 +450,17 @@ class PlaneWaveSum:
     # genesis attachment protocol ------------------------------------------
 
     def sample_position(self, rng) -> np.ndarray:
-        return sample_box_positions(self, check_rng(rng), 1)[0]
+        return _sample_box_counter(self, stream_seed(rng), np.arange(1))[0]
 
     def momentum_at(self, r, t) -> np.ndarray:
         return self.guided_momentum_at(np.asarray(r, dtype=float))
 
 
-def sample_box_positions(w: PlaneWaveSum, rng, n: int) -> np.ndarray:
-    """Rejection sampling of |psi|^2 over the box against its sharp bound."""
-    rng = check_rng(rng)
-    bound = w.density_bound()
-    out = np.empty((n, 3))
-    remaining = np.arange(n)
-    while remaining.size:
-        r = rng.random((remaining.size, 3)) * w.box
-        accept = rng.random(remaining.size) * bound <= np.abs(w.field(r)) ** 2
-        out[remaining[accept]] = r[accept]
-        remaining = remaining[~accept]
-    return out
-
-
 def _sample_box_counter(w: PlaneWaveSum, seed: int, trial_ids: np.ndarray
                         ) -> np.ndarray:
+    """Rejection sampling of |psi|^2 over the box against its sharp bound.
+    Trial i consumes counter draws 4r .. 4r + 3 for rounds r until
+    acceptance."""
     bound = w.density_bound()
     out = np.empty((trial_ids.size, 3))
     remaining = np.arange(trial_ids.size)
@@ -552,10 +514,7 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, rng,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if isinstance(rng, (int, np.integer)):
-        positions = _sample_box_counter(w, int(rng), np.arange(n_samples))
-    else:
-        positions = sample_box_positions(w, check_rng(rng), n_samples)
+    positions = _sample_box_counter(w, stream_seed(rng), np.arange(n_samples))
     guided = w.guided_momentum_at(positions)
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)

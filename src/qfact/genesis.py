@@ -9,7 +9,9 @@ randomness so results are independent of worker scheduling.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -27,10 +29,13 @@ from .hilbert import (
     born_law,
     compose_superposition,
     evolve,
+    sample_outcome,
     sample_outcomes_from_uniforms,
 )
-from .seeding import counter_uniforms
+from .seeding import counter_uniforms, stream_seed
 from .validation import check_rng
+
+CHUNK_TRIALS = 250_000  # trials per partial law, rounded to a block multiple
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,7 @@ def generate(g: GenerationOp, rng) -> Specimen:
     state = resolve_state(g)
     position = None
     if g.attachment is not None:
-        position = g.attachment.sample_position(check_rng(rng))
+        position = g.attachment.sample_position(rng)
     return Specimen(hidden_state=state, dbb_attachment=g.attachment,
                     corpuscle_position=position)
 
@@ -154,9 +159,7 @@ def mes_coding_nc(s: Specimen, obs: ObservableSpec, rng, trial_id: int = 0
     """Non-composed coding measurement: marks registered in region j code
     the eigenvalue with the same index."""
     s._consume()
-    law = born_law(s.hidden_state, obs)
-    u = check_rng(rng).random()
-    j = int(sample_outcomes_from_uniforms(law, np.array([u]))[0])
+    j = sample_outcome(s.hidden_state, obs, rng)
     return CodedOutcome(observable=obs.name, eigen_index=j,
                         eigenvalue=float(obs.eigenvalues[j]),
                         region_index=j, trial_id=trial_id)
@@ -173,19 +176,25 @@ def mes_coding_guided(s: Specimen, t: float) -> tuple[np.ndarray, np.ndarray]:
     return r, p
 
 
-def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
-                 ) -> list[CodedOutcome]:
-    """Complete measurement on a multi-system specimen: one group of marks
-    per factor, sampled jointly from the joint Born law."""
-    s._consume()
+def _joint_law(state: OracleState, obs_list) -> tuple[np.ndarray, list[int]]:
+    """Born law of the joint state on the Kronecker product of the factor
+    eigenbases, over flattened outcome tuples, and the factor dims."""
     dims = [o.dim for o in obs_list]
-    if prod(dims) != s.hidden_state.dim:
+    if prod(dims) != state.dim:
         raise DimensionMismatchError(
             "factor observables do not cover the joint dimension")
     basis = obs_list[0].eigenbasis
     for o in obs_list[1:]:
         basis = np.kron(basis, o.eigenbasis)
-    joint_law = np.abs(basis.conj().T @ s.hidden_state.amplitudes) ** 2
+    return np.abs(basis.conj().T @ state.amplitudes) ** 2, dims
+
+
+def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
+                 ) -> list[CodedOutcome]:
+    """Complete measurement on a multi-system specimen: one group of marks
+    per factor, sampled jointly from the joint Born law."""
+    s._consume()
+    joint_law, dims = _joint_law(s.hidden_state, obs_list)
     u = check_rng(rng).random()
     flat = int(sample_outcomes_from_uniforms(joint_law, np.array([u]))[0])
     parts = np.unravel_index(flat, dims)
@@ -209,27 +218,41 @@ def time_of_flight(x_n, t_n: float, t0: float, m: float, origin=None
 
 def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
                     eps: float, delta: float, n0: int, rng,
-                    trial_offset: int = 0) -> finprob.FactualLaw:
+                    trial_offset: int = 0, workers: int = 1
+                    ) -> finprob.FactualLaw:
     """Accumulate n independent generate-then-measure successions.
 
-    The hidden state is fixed by the recipe, so the batch draws n outcomes
-    from its Born law in one vectorized pass, which reproduces the per-trial
-    succession exactly in distribution.  Passing an integer seed uses
-    counter-based per-trial uniforms keyed by (seed, trial_offset + i):
-    partial batches built from disjoint trial ranges merge into the same law
-    regardless of scheduling.
+    The hidden state is fixed by the recipe, so trial i's outcome is one
+    inverse-CDF draw from its Born law against the counter uniform keyed
+    by (seed, trial_offset + i), which reproduces the per-trial succession
+    exactly in distribution.  ``rng`` takes an integer seed or a numpy
+    Generator; a Generator only supplies the seed of the counter streams.
+
+    Trials are drawn in chunks of CHUNK_TRIALS rounded to a multiple of n0,
+    built on up to ``workers`` threads and merged in order.  Chunk bounds
+    depend only on n and n0, so the law is the same for any worker count,
+    and partial laws built from disjoint trial ranges merge into it.
     """
     if n < 1:
         raise ValueError("need at least one succession")
+    seed = stream_seed(rng)
     law_vec = born_law(resolve_state(g), obs)
-    if isinstance(rng, (int, np.integer)):
-        uniforms = counter_uniforms(int(rng),
-                                    np.arange(trial_offset, trial_offset + n))
-    else:
-        uniforms = check_rng(rng).random(n)
-    idx = sample_outcomes_from_uniforms(law_vec, uniforms)
     empty = finprob.FactualLaw.empty(obs.labels(), eps, delta, n0)
-    return finprob.accumulate_indices(empty, idx)
+    chunk = n0 * max(1, CHUNK_TRIALS // n0)
+
+    def build(start: int) -> finprob.FactualLaw:
+        ids = np.arange(trial_offset + start,
+                        trial_offset + min(start + chunk, n))
+        idx = sample_outcomes_from_uniforms(law_vec, counter_uniforms(seed, ids))
+        return finprob.accumulate_indices(empty, idx)
+
+    starts = range(0, n, chunk)
+    if workers <= 1 or len(starts) == 1:
+        partials = [build(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            partials = list(ex.map(build, starts))
+    return reduce(finprob.merge, partials)
 
 
 def run_complete_successions(g: MultiSystem, obs_list, n: int,
@@ -239,24 +262,14 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
     """Batched complete measurements on a multi-system recipe.
 
     Returns the joint law over flattened outcome tuples plus one marginal
-    law per factor, all built from the same succession stream.
+    law per factor, all built from the same succession stream.  ``rng``
+    takes an integer seed or a Generator, as in :func:`run_successions`.
     """
     if n < 1:
         raise ValueError("need at least one succession")
-    dims = [o.dim for o in obs_list]
-    state = resolve_state(g)
-    if prod(dims) != state.dim:
-        raise DimensionMismatchError(
-            "factor observables do not cover the joint dimension")
-    basis = obs_list[0].eigenbasis
-    for o in obs_list[1:]:
-        basis = np.kron(basis, o.eigenbasis)
-    joint_law = np.abs(basis.conj().T @ state.amplitudes) ** 2
-    if isinstance(rng, (int, np.integer)):
-        uniforms = counter_uniforms(int(rng),
-                                    np.arange(trial_offset, trial_offset + n))
-    else:
-        uniforms = check_rng(rng).random(n)
+    joint_law, dims = _joint_law(resolve_state(g), obs_list)
+    uniforms = counter_uniforms(stream_seed(rng),
+                                np.arange(trial_offset, trial_offset + n))
     flat = sample_outcomes_from_uniforms(joint_law, uniforms)
     parts = np.unravel_index(flat, dims)
 

@@ -140,10 +140,8 @@ def coefficients(state: OracleState, obs: ObservableSpec) -> np.ndarray:
 
 def sample_outcome(state: OracleState, obs: ObservableSpec, rng) -> int:
     """Draw one eigenvalue index by inverse-CDF sampling of the Born law."""
-    law = born_law(state, obs)
-    cdf = np.cumsum(law)
-    cdf[-1] = 1.0
-    return int(np.searchsorted(cdf, check_rng(rng).random(), side="right"))
+    u = np.array([check_rng(rng).random()])
+    return int(sample_outcomes_from_uniforms(born_law(state, obs), u)[0])
 
 
 def sample_outcomes_from_uniforms(law: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -229,13 +227,6 @@ def commutator_norm(a: ObservableSpec, b: ObservableSpec) -> float:
     """Frobenius norm of [A, B] on the oracle matrices."""
     ma, mb = a.matrix(), b.matrix()
     return float(np.linalg.norm(ma @ mb - mb @ ma))
-
-
-def inner_product(a: OracleState, b: OracleState) -> complex:
-    """Raw scalar product <a|b> (proximity measure between states)."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError("states have different dimensions")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 # --- construction helpers --------------------------------------------------

@@ -12,6 +12,7 @@ from .errors import UnlinkedObservableError
 from .genesis import GenerationOp, run_successions
 from .hilbert import ObservableSpec, TransformMatrix, commutator_norm, dirac_transform
 from .reconstruct import law_vector
+from .seeding import stream_seed
 
 COMMUTE_TOL = 1e-10
 
@@ -77,28 +78,25 @@ def partition_branches(observables: list[ObservableSpec]
 
 
 def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
-               eps: float, delta: float, n0: int, rng, guided: bool = False
-               ) -> ProbabilityTree:
+               eps: float, delta: float, n0: int, rng, guided: bool = False,
+               workers: int = 1) -> ProbabilityTree:
     """One factual law per observable via repeated successions, grouped into
     branches.  Guided-coding scenarios read every quantity off one trace, so
     the tree degenerates to a single trunk regardless of commutation.
 
-    An integer ``rng`` seeds counter-based streams per observable, keeping
-    the tree reproducible under any parallel schedule.
+    ``rng`` takes an integer seed or a numpy Generator, which only supplies
+    the seed.  Observable k draws trials k*n .. (k+1)*n - 1 of the counter
+    streams, built on up to ``workers`` threads, so the tree is the same
+    under any parallel schedule.
     """
     if guided:
         groups = [CompatibilityGroup(tuple(o.name for o in observables))]
     else:
         groups = partition_branches(observables)
-    laws: dict[str, finprob.FactualLaw] = {}
-    for task_index, obs in enumerate(observables):
-        if isinstance(rng, (int, np.integer)):
-            stream = int(rng)
-            offset = task_index * n
-        else:
-            stream, offset = rng, 0
-        laws[obs.name] = run_successions(g, obs, n, eps, delta, n0,
-                                         stream, trial_offset=offset)
+    seed = stream_seed(rng)
+    laws = {obs.name: run_successions(g, obs, n, eps, delta, n0, seed,
+                                      trial_offset=k * n, workers=workers)
+            for k, obs in enumerate(observables)}
     branches = [(grp, {name: laws[name] for name in grp.members})
                 for grp in groups]
     return ProbabilityTree(trunk=g.id, branches=branches,

@@ -81,8 +81,12 @@ class Scenario:
         plan = self.raw.get("measurement")
         if plan is None:
             raise ScenarioError("scenario has no 'measurement' section")
+        try:
+            observables = list(plan["observables"])
+        except KeyError as exc:
+            raise ScenarioError(f"measurement: missing field {exc}") from None
         return {
-            "observables": list(plan["observables"]),
+            "observables": observables,
             "n": int(plan.get("n", 100_000)),
             "epsilon": float(plan.get("epsilon", finprob.DEFAULT_EPSILON)),
             "delta": float(plan.get("delta", finprob.DEFAULT_DELTA)),

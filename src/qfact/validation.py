@@ -80,18 +80,6 @@ def check_strictly_increasing(values, name="eigenvalues") -> np.ndarray:
     return arr
 
 
-def check_probability_vector(p, tol=1e-10, name="probabilities") -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if np.any(arr < -tol):
-        raise ValueError(f"{name} contains negative entries")
-    total = arr.sum()
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"{name} must sum to 1 within {tol}, got {total!r}")
-    return np.clip(arr, 0.0, None)
-
-
 def check_rng(rng) -> np.random.Generator:
     """Accept a Generator, a seed, or None and return a Generator."""
     if isinstance(rng, np.random.Generator):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qfact import cli, finprob, scenario
 from qfact.errors import ScenarioError
 
 RT2 = 1 / math.sqrt(2)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TWO_LEVEL = {
     "states": {"psi": [[0.6, 0.0], [0.0, 0.8]]},
@@ -104,6 +106,36 @@ def test_stability_malformed_scenario_nonzero_exit(tmp_path, capsys):
     assert cli.main(["stability", "--scenario", path,
                      "--out", str(tmp_path / "out")]) == 2
     assert "stability" in capsys.readouterr().err
+
+
+SEGMENT = ("stability", "sampling", "segments", 0)
+
+
+@pytest.mark.parametrize("command,name,path,value", [
+    ("exp", "trace_experiment", ("dbb", "exp", "kick_law"), "normall"),
+    ("tree", "tree_two_level", ("measurement", "observables"), None),
+    ("stability", "stability_drift", SEGMENT + ("probs",), None),
+    ("stability", "stability_drift", SEGMENT + ("blocks",), None),
+], ids=["kick_law", "observables", "probs", "blocks"])
+def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
+                                         path, value):
+    # a shipped scenario with one field set to ``value`` (None: deleted)
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    *outer, key = path
+    section = doc
+    for part in outer:
+        section = section[part]
+    if value is None:
+        del section[key]
+    else:
+        section[key] = value
+    scn_path = write_scenario(tmp_path, doc)
+    code = cli.main([command, "--scenario", scn_path,
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scenario error:" in err
+    assert "Traceback" not in err
 
 
 # --- tree command ------------------------------------------------------------
@@ -297,3 +329,51 @@ def test_rerun_reproduces_checksums(tmp_path):
     m1 = json.loads((tmp_path / "r1" / "manifest.json").read_text())
     m2 = json.loads((tmp_path / "r2" / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
+
+
+# --- shipped scenarios ---------------------------------------------------------
+
+# manifest "outputs" of every shipped (command, scenario) pair, recorded with
+# numpy 2.4 on x86-64; a refactor that keeps the algorithms keeps these bytes
+SHIPPED_CHECKSUMS = {
+    ("tree", "tree_two_level"): {
+        "law_A.csv": "f95aa876dbe2bff9c7e9bf97026ebb58824edd488991182281e164056d43c9f5",
+        "law_B.csv": "f4692c35ef60af2df787a4c73c3a98950539a3477a13f9fcbbb2f0bc7f0be1bd",
+        "law_C.csv": "a4bf0c7a4ac601156ad1d8a5577118c05454bfcba90fbd390ed1bce8c1cf4c05",
+        "tree.json": "f0cfc79e50ad9745e34cdc3a8b1ca64a510157163f31280bd90c2804ee3ad0c3",
+    },
+    ("stability", "stability_drift"): {
+        "law.csv": "92ceef4ca0d7e2b9a1964770ce6168883d780fd2f44817436ed1bbe913c90f41",
+        "stability_verdict.json": "932bbdfef48445ac4b1fb52c34b25ee83ca73dbb648ff51a04fc337453fe5849",
+    },
+    ("stability", "stability_fair_coin"): {
+        "law.csv": "84e46ff619a04a1774d0ab25c677bea73b09c02545e555c7771ba2248a40b19d",
+        "stability_verdict.json": "1a3144bcfbfe866c11584fd4b5af458f2ef5f1c0d8dbc594eec7d8ab97f9ed02",
+    },
+    ("reconstruct", "reconstruct_two_level"): {
+        "expansion.json": "35f534be8e9796ac8e366b641a1892b4e6ac268ad2db08b8597c31ad8a3e7d75",
+        "predicted_B.json": "8ea8412c4c352cc7edcff1ec5c58a27ca7c29d752f6ddd0813726b497c79318b",
+        "retrieval_report.json": "5499a1a6f048da11ea8e9b00fd0364b5a639566e48a0a31257c26417b59906cf",
+    },
+    ("exp", "trace_experiment"): {
+        "exp_direction_hist.csv": "341d974025a315ecb20074add0d535e151b2b12e30beac1fa03e29b3be50836a",
+        "exp_fringe_hist.csv": "e917d20a97b2e1f66b9a517aba908e9faf60456b4c57a62ee0560f319f1ec94f",
+        "exp_lambda_table.csv": "7b3478b7ebe1e985f39861db314180f721f8ed21fabd5db434cdf7ee51786bfd",
+        "exp_summary.json": "25e6ac42bdbc4c944433e0a30ce14299f9783648cac07869c2038cc03a578ab8",
+    },
+    ("borncheck", "trace_experiment"): {
+        "borncheck_px.csv": "03cc3d987522a9c328f6c7ae304e15e1b5a1595810f83d14c248ab664dadaaa6",
+        "borncheck_py.csv": "ee7a31ef130b1183b14e259e8372eb59562e30b19661c8bde91c2ea8c3cbea34",
+        "borncheck_pz.csv": "0f11cc7ab4a09e2b3f0fcfb153d5917707c1bcbce54ed25c57e5e33410f87f7f",
+        "borncheck_summary.json": "8ef15b670c3afeac7bc31e626fbe5dab955b470243d60bc857e46eb79e94cb3c",
+    },
+}
+
+
+@pytest.mark.parametrize("command,name", list(SHIPPED_CHECKSUMS))
+def test_shipped_scenario_bytes_pinned(tmp_path, command, name):
+    out = tmp_path / "out"
+    assert cli.main([command, "--scenario", str(SCENARIOS / f"{name}.json"),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == SHIPPED_CHECKSUMS[(command, name)]

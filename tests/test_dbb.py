@@ -17,7 +17,6 @@ from qfact.dbb import (
     quantum_force,
     quantum_potential,
     run_trace,
-    sample_fringe_z,
     simulate_exp,
     straight_line_positions,
     trace_angles,
@@ -254,6 +253,22 @@ def test_run_trace_record(wave):
     assert rec.gammas.shape == (1,)
 
 
+def test_run_trace_honours_kick_law(wave):
+    # one trial has at most two kicks, each within kappa * kick_half_width
+    # under the uniform law; the normal law must leave that support
+    def kicks(law):
+        cfg = ExpConfig(lambda_sep=1e-6, kick_law=law, n_trials=1)
+        out = []
+        for seed in range(32):
+            (r1, _), (r2, _) = run_trace(wave, cfg, seed).ionizations
+            out.append(abs(r2[2] - r1[2]))
+        return np.array(out)
+
+    support = 2 * default_kappa(wave) * ExpConfig(lambda_sep=1e-6).kick_half_width
+    assert np.all(kicks("uniform") <= support)
+    assert np.any(kicks("normal") > support)
+
+
 def test_straight_line_trajectory_exact(wave):
     r0 = np.array([1.0e-7, 0.0, 2.0e-10])
     times = np.linspace(0.0, 1e-11, 101)
@@ -274,7 +289,7 @@ def test_straight_line_trajectory_exact(wave):
 def test_fringe_sampling_density(wave):
     # sampled z histogram tracks the squared amplitude
     n = 200_000
-    z = sample_fringe_z(wave, np.random.default_rng(8), n, n_periods=2)
+    z = dbb._sample_fringe_counter(wave, 8, np.arange(n), n_periods=2)
     lo, hi = wave.fringe_window(2)
     counts, edges = np.histogram(z, bins=80, range=(lo, hi))
     centers = (edges[:-1] + edges[1:]) / 2
