@@ -71,10 +71,12 @@ def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     sect = scn.raw.get("stability")
     if not isinstance(sect, dict):
         raise ScenarioError("scenario has no 'stability' section")
-    if "law" in sect:
-        law = finprob.from_json_dict(sect["law"])
-    elif "law_json" in sect:
-        law = finprob.from_json(Path(sect["law_json"]).read_text())
+    if "law" in sect or "law_json" in sect:
+        try:
+            law = (finprob.from_json_dict(sect["law"]) if "law" in sect else
+                   finprob.from_json(Path(sect["law_json"]).read_text()))
+        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"stability: cannot read the law: {exc!r}") from None
     elif "sampling" in sect:
         rec = sect["sampling"]
         try:
@@ -85,24 +87,21 @@ def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
             segments = rec["segments"]
         except KeyError as exc:
             raise ScenarioError(f"stability.sampling: missing field {exc}") from None
-        blocks = []
-        block_index = 0
+        rows = []
         for seg in segments:
             try:
                 probs = np.asarray(seg["probs"], dtype=float)
                 n_blocks = int(seg["blocks"])
-            except KeyError as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ScenarioError(
-                    f"stability.sampling.segments: missing field {exc}") from None
+                    f"stability.sampling.segments: bad segment: {exc!r}") from None
             if probs.size != len(labels):
                 raise ScenarioError("stability.sampling: probs/labels mismatch")
             for _ in range(n_blocks):
-                counts = trial_generator(scn.seed, block_index).multinomial(
-                    block_size, probs / probs.sum())
-                blocks.append({lab: int(c) for lab, c in zip(labels, counts) if c})
-                block_index += 1
-        law = finprob.FactualLaw.from_block_counts(labels, blocks, eps, delta,
-                                                   block_size)
+                rows.append(trial_generator(scn.seed, len(rows)).multinomial(
+                    block_size, probs / probs.sum()))
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(labels))
+        law = finprob.FactualLaw(labels, table, block_size, eps, delta)
     else:
         raise ScenarioError("stability section needs 'law', 'law_json' or 'sampling'")
     verdict = finprob.check_convergence(law)
@@ -248,8 +247,11 @@ def cmd_exp(scn: scenario.Scenario, workers: int) -> dict[str, str]:
 def cmd_borncheck(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     waves = scenario.build_plane_waves(scn.raw)
     sect = (scn.raw.get("dbb") or {}).get("borncheck") or {}
-    n_samples = int(sect.get("n_samples", 10_000))
-    bins = int(sect.get("bins", 64))
+    try:
+        n_samples = int(sect.get("n_samples", 10_000))
+        bins = int(sect.get("bins", 64))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"dbb.borncheck: {exc}") from None
     rec = dbb.extended_born_check(waves, n_samples, scn.seed, bins=bins)
     vecs, wts = rec.candidate_spectrum
     doc = {

@@ -1,12 +1,14 @@
 """Finite, effective probability laws built from coded outcome streams.
 
-A law records outcome counts over a fixed spectrum of labels together with
-(epsilon, delta, n0) stability metadata.  The trial stream is chunked into
-consecutive blocks of n0 trials; a law is declared stable when, for every
-label, at least a (1 - delta) fraction of the complete blocks has a block
-frequency within epsilon of the frequency pooled over all complete blocks.
-The trailing partial block (and any partial block inherited from a merge)
-never enters the verdict, so every judged block has the same sample size.
+A law is one ``(n_blocks, n_labels)`` integer table over a fixed spectrum
+of labels, together with (epsilon, delta, n0) stability metadata.  The
+trial stream is chunked into consecutive blocks of n0 trials, one table row
+per block in trial order; the counts and the trial total are column and
+table sums.  A law is declared stable when, for every label, at least a
+(1 - delta) fraction of the complete blocks has a block frequency within
+epsilon of the frequency pooled over all complete blocks.  The trailing
+partial block (and any partial block inherited from a merge) never enters
+the verdict, so every judged block has the same sample size.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,22 +28,22 @@ DEFAULT_DELTA = 0.05
 DEFAULT_BLOCK_SIZE = 10_000
 
 
-@dataclass
+@dataclass(eq=False)
 class FactualLaw:
-    """Relative-frequency law with block bookkeeping.
+    """Relative-frequency law stored as a block table.
 
-    Value-like: operations return new laws and never mutate their input.
-    ``block_history`` holds one count map per block in trial order; a block
-    is complete when its counts sum to ``block_size_n0``.
+    ``blocks`` is a read-only ``(n_blocks, n_labels)`` int64 table, one row
+    per block of trials in trial order and one column per spectrum label; a
+    block is complete when its row sums to ``block_size_n0``.  Value-like:
+    operations return new laws and never mutate their input, and two laws
+    are equal when their metadata and tables are.
     """
 
     spectrum: tuple[str, ...]
-    counts: dict[str, int]
-    n_total: int
+    blocks: np.ndarray
     block_size_n0: int
     epsilon: float
     delta: float
-    block_history: list[dict[str, int]] = field(default_factory=list)
 
     def __post_init__(self):
         self.spectrum = tuple(self.spectrum)
@@ -51,42 +53,55 @@ class FactualLaw:
             raise ValueError("block_size_n0 must be a positive integer")
         self.epsilon = check_in_unit_interval(self.epsilon, "epsilon")
         self.delta = check_in_unit_interval(self.delta, "delta")
-        known = set(self.spectrum)
-        for label in self.counts:
-            if label not in known:
-                raise UnknownLabelError(f"count label {label!r} not in spectrum")
-        if sum(self.counts.values()) != self.n_total:
-            raise ValueError("counts must sum to n_total")
-        in_blocks = sum(sum(b.values()) for b in self.block_history)
-        if in_blocks != self.n_total:
-            raise ValueError("block history must account for every trial")
-        if any(v < 0 for v in self.counts.values()):
+        blocks = np.array(self.blocks, dtype=np.int64)
+        if blocks.ndim != 2 or blocks.shape[1] != len(self.spectrum):
+            raise ValueError("blocks must be an (n_blocks, n_labels) table")
+        if (blocks < 0).any():
             raise ValueError("counts must be non-negative")
+        blocks.flags.writeable = False
+        self.blocks = blocks
+
+    def __eq__(self, other):
+        if not isinstance(other, FactualLaw):
+            return NotImplemented
+        return ((self.spectrum, self.block_size_n0, self.epsilon, self.delta)
+                == (other.spectrum, other.block_size_n0, other.epsilon,
+                    other.delta)
+                and np.array_equal(self.blocks, other.blocks))
+
+    @property
+    def n_total(self) -> int:
+        return int(self.blocks.sum())
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return dict(zip(self.spectrum, self.blocks.sum(axis=0).tolist()))
 
     @classmethod
     def empty(cls, spectrum, epsilon=DEFAULT_EPSILON, delta=DEFAULT_DELTA,
               block_size_n0=DEFAULT_BLOCK_SIZE) -> "FactualLaw":
-        spectrum = tuple(spectrum)
-        return cls(spectrum, {lab: 0 for lab in spectrum}, 0,
-                   block_size_n0, epsilon, delta, [])
+        return cls.from_block_counts(spectrum, [], epsilon, delta, block_size_n0)
 
     @classmethod
     def from_block_counts(cls, spectrum, blocks, epsilon=DEFAULT_EPSILON,
                           delta=DEFAULT_DELTA, block_size_n0=DEFAULT_BLOCK_SIZE
                           ) -> "FactualLaw":
-        """Build a law directly from per-block count maps (fixture helper)."""
+        """Build a law from per-block count maps in trial order; a label a
+        block leaves out counts 0 there."""
         spectrum = tuple(spectrum)
-        blocks = [dict(b) for b in blocks]
-        counts = {lab: 0 for lab in spectrum}
-        for b in blocks:
-            for lab, c in b.items():
-                counts[lab] += c
-        return cls(spectrum, counts, sum(counts.values()),
-                   block_size_n0, epsilon, delta, blocks)
+        known = set(spectrum)
+        rows = []
+        for block in blocks:
+            if unknown := block.keys() - known:
+                raise UnknownLabelError(
+                    f"block labels {sorted(unknown)} not in spectrum {spectrum}")
+            rows.append([block.get(lab, 0) for lab in spectrum])
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(spectrum))
+        return cls(spectrum, table, block_size_n0, epsilon, delta)
 
-    def complete_blocks(self) -> list[dict[str, int]]:
-        return [b for b in self.block_history
-                if sum(b.values()) == self.block_size_n0]
+    def complete_blocks(self) -> np.ndarray:
+        """Rows of the blocks that hold exactly n0 trials."""
+        return self.blocks[self.blocks.sum(axis=1) == self.block_size_n0]
 
     def index_of(self, label: str) -> int:
         try:
@@ -98,67 +113,43 @@ class FactualLaw:
 
 def accumulate(law: FactualLaw, outcome: str) -> FactualLaw:
     """Record one coded outcome; opens a fresh block when the current one fills."""
-    law.index_of(outcome)
-    counts = dict(law.counts)
-    counts[outcome] += 1
-    history = [dict(b) for b in law.block_history]
-    if history and sum(history[-1].values()) < law.block_size_n0:
-        history[-1][outcome] = history[-1].get(outcome, 0) + 1
-    else:
-        history.append({outcome: 1})
-    return FactualLaw(law.spectrum, counts, law.n_total + 1,
-                      law.block_size_n0, law.epsilon, law.delta, history)
+    return accumulate_indices(law, [law.index_of(outcome)])
 
 
-def accumulate_indices(law: FactualLaw, indices: np.ndarray) -> FactualLaw:
-    """Batch form of :func:`accumulate` for an array of spectrum indices.
-
-    Equivalent to folding ``accumulate`` over the outcomes in order, but
-    fills blocks with vectorized bincounts.
-    """
+def accumulate_indices(law: FactualLaw, indices) -> FactualLaw:
+    """Record a stream of spectrum indices in order: top up the trailing
+    partial block, then count the rest into new blocks of n0 with one
+    bincount."""
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size == 0:
         return law
-    n_labels = len(law.spectrum)
+    n_labels, n0 = len(law.spectrum), law.block_size_n0
     if idx.min() < 0 or idx.max() >= n_labels:
         raise UnknownLabelError("outcome index outside spectrum")
-
-    def block_map(chunk):
-        c = np.bincount(chunk, minlength=n_labels)
-        return {law.spectrum[i]: int(c[i]) for i in range(n_labels) if c[i]}
-
-    history = [dict(b) for b in law.block_history]
-    pos = 0
-    if history and sum(history[-1].values()) < law.block_size_n0:
-        room = law.block_size_n0 - sum(history[-1].values())
-        head = idx[:room]
-        for lab, c in block_map(head).items():
-            history[-1][lab] = history[-1].get(lab, 0) + c
-        pos = head.size
-    while pos < idx.size:
-        chunk = idx[pos:pos + law.block_size_n0]
-        history.append(block_map(chunk))
-        pos += chunk.size
-
-    total = np.bincount(idx, minlength=n_labels)
-    counts = dict(law.counts)
-    for i, lab in enumerate(law.spectrum):
-        counts[lab] += int(total[i])
-    return FactualLaw(law.spectrum, counts, law.n_total + idx.size,
-                      law.block_size_n0, law.epsilon, law.delta, history)
+    table = law.blocks
+    room = n0 - int(table[-1].sum()) if len(table) else 0
+    if room > 0:
+        head, idx = idx[:room], idx[room:]
+        table = np.vstack([table[:-1],
+                           table[-1] + np.bincount(head, minlength=n_labels)])
+    n_new = -(-idx.size // n0)
+    keys = np.arange(idx.size) // n0 * n_labels + idx
+    new = np.bincount(keys, minlength=n_new * n_labels)
+    return replace(law, blocks=np.vstack([table,
+                                          new.reshape(n_new, n_labels)]))
 
 
 def frequencies(law: FactualLaw) -> dict[str, float]:
     """Relative frequencies count/n_total for every spectrum label."""
-    if law.n_total == 0:
-        raise EmptyLawError("cannot compute frequencies of an empty law")
-    return {lab: law.counts[lab] / law.n_total for lab in law.spectrum}
+    return dict(zip(law.spectrum, frequency_vector(law).tolist()))
 
 
 def frequency_vector(law: FactualLaw) -> np.ndarray:
-    if law.n_total == 0:
+    totals = law.blocks.sum(axis=0)
+    n_total = int(totals.sum())
+    if n_total == 0:
         raise EmptyLawError("cannot compute frequencies of an empty law")
-    return np.array([law.counts[lab] for lab in law.spectrum], dtype=float) / law.n_total
+    return totals / n_total
 
 
 @dataclass
@@ -172,16 +163,14 @@ class StabilityVerdict:
 def check_convergence(law: FactualLaw) -> StabilityVerdict:
     """Block-stability verdict: every label must keep at least a (1 - delta)
     fraction of complete blocks within epsilon of the pooled frequency."""
-    blocks = law.complete_blocks()
-    if len(blocks) < 2:
+    table = law.complete_blocks()
+    if len(table) < 2:
         raise InsufficientBlocksError(
-            f"need at least 2 complete blocks, have {len(blocks)}")
+            f"need at least 2 complete blocks, have {len(table)}")
     n0 = law.block_size_n0
     labels = law.spectrum
-    table = np.array([[b.get(lab, 0) for lab in labels] for b in blocks],
-                     dtype=float)
     block_freq = table / n0
-    pooled = table.sum(axis=0) / (len(blocks) * n0)
+    pooled = table.sum(axis=0) / (len(table) * n0)
     dev = np.abs(block_freq - pooled)
     within = (dev <= law.epsilon).mean(axis=0)
     fractions = {lab: float(within[i]) for i, lab in enumerate(labels)}
@@ -195,17 +184,14 @@ def check_convergence(law: FactualLaw) -> StabilityVerdict:
 
 
 def merge(a: FactualLaw, b: FactualLaw) -> FactualLaw:
-    """Combine independently built partial laws: add counts, concatenate
-    block histories.  Partial blocks may then sit mid-history; they are
-    simply never judged, like a trailing partial block."""
+    """Combine independently built partial laws: stack b's block rows after
+    a's.  Partial blocks may then sit mid-table; they are simply never
+    judged, like a trailing partial block."""
     if a.spectrum != b.spectrum:
         raise ValueError("laws must share one spectrum to merge")
     if (a.block_size_n0, a.epsilon, a.delta) != (b.block_size_n0, b.epsilon, b.delta):
         raise ValueError("laws must share (epsilon, delta, n0) metadata to merge")
-    counts = {lab: a.counts[lab] + b.counts[lab] for lab in a.spectrum}
-    history = [dict(x) for x in a.block_history] + [dict(x) for x in b.block_history]
-    return FactualLaw(a.spectrum, counts, a.n_total + b.n_total,
-                      a.block_size_n0, a.epsilon, a.delta, history)
+    return replace(a, blocks=np.vstack([a.blocks, b.blocks]))
 
 
 # --- serialization ---------------------------------------------------------
@@ -217,48 +203,49 @@ def to_csv(law: FactualLaw) -> str:
     w.writerow(["n_total", "block_size_n0", "epsilon", "delta"])
     w.writerow([law.n_total, law.block_size_n0, repr(law.epsilon), repr(law.delta)])
     w.writerow(["label", "count"])
-    for lab in law.spectrum:
-        w.writerow([lab, law.counts[lab]])
+    w.writerows(law.counts.items())
     return buf.getvalue()
 
 
 def from_csv(text: str) -> FactualLaw:
+    """Read a flat CSV law.  The format carries counts only, so they come
+    back as one block row, which is never complete unless it holds n0."""
     rows = list(csv.reader(io.StringIO(text)))
     if len(rows) < 3 or rows[0] != ["n_total", "block_size_n0", "epsilon", "delta"]:
         raise ValueError("malformed law CSV header")
     n_total, n0 = int(rows[1][0]), int(rows[1][1])
     eps, delta = float(rows[1][2]), float(rows[1][3])
-    spectrum, counts = [], {}
-    for lab, c in rows[3:]:
-        spectrum.append(lab)
-        counts[lab] = int(c)
-    # flat format carries no block structure: store as one history entry
-    history = [dict(counts)] if n_total else []
-    return FactualLaw(tuple(spectrum), counts, n_total, n0, eps, delta, history)
+    spectrum = [lab for lab, _ in rows[3:]]
+    counts = [int(c) for _, c in rows[3:]]
+    if sum(counts) != n_total:
+        raise ValueError("counts must sum to n_total")
+    blocks = [dict(zip(spectrum, counts))] if n_total else []
+    return FactualLaw.from_block_counts(spectrum, blocks, eps, delta, n0)
 
 
 def to_json_dict(law: FactualLaw) -> dict:
     return {
         "spectrum": list(law.spectrum),
-        "counts": {lab: law.counts[lab] for lab in law.spectrum},
+        "counts": law.counts,
         "n_total": law.n_total,
         "block_size_n0": law.block_size_n0,
         "epsilon": law.epsilon,
         "delta": law.delta,
-        "block_history": [dict(b) for b in law.block_history],
+        "block_history": [{lab: c for lab, c in zip(law.spectrum, row) if c}
+                          for row in law.blocks.tolist()],
     }
 
 
 def from_json_dict(doc: dict) -> FactualLaw:
-    return FactualLaw(
-        tuple(doc["spectrum"]),
-        {str(k): int(v) for k, v in doc["counts"].items()},
-        int(doc["n_total"]),
-        int(doc["block_size_n0"]),
-        float(doc["epsilon"]),
-        float(doc["delta"]),
-        [{str(k): int(v) for k, v in b.items()} for b in doc["block_history"]],
-    )
+    """Read :func:`to_json_dict`'s layout; the declared ``counts`` and
+    ``n_total`` must equal the sums of the block table."""
+    law = FactualLaw.from_block_counts(
+        doc["spectrum"], doc["block_history"], float(doc["epsilon"]),
+        float(doc["delta"]), int(doc["block_size_n0"]))
+    declared = {str(k): int(v) for k, v in doc["counts"].items()}
+    if declared != law.counts or int(doc["n_total"]) != law.n_total:
+        raise ValueError("declared counts and n_total disagree with the block table")
+    return law
 
 
 def to_json(law: FactualLaw) -> str:

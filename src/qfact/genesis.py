@@ -271,15 +271,16 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
     uniforms = counter_uniforms(stream_seed(rng),
                                 np.arange(trial_offset, trial_offset + n))
     flat = sample_outcomes_from_uniforms(joint_law, uniforms)
-    parts = np.unravel_index(flat, dims)
 
     joint_name = "*".join(o.name for o in obs_list)
     joint_labels = [f"{joint_name}:{k}" for k in range(prod(dims))]
     joint = finprob.accumulate_indices(
         finprob.FactualLaw.empty(joint_labels, eps, delta, n0), flat)
+    # factor i's block table: the joint table summed over the other factors
+    per_factor = joint.blocks.reshape(-1, *dims)
     marginals = [
-        finprob.accumulate_indices(
-            finprob.FactualLaw.empty(o.labels(), eps, delta, n0), parts[i])
+        finprob.FactualLaw(o.labels(), per_factor.sum(axis=tuple(
+            a + 1 for a in range(len(dims)) if a != i)), n0, eps, delta)
         for i, o in enumerate(obs_list)
     ]
     return joint, marginals

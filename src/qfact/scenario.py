@@ -82,17 +82,17 @@ class Scenario:
         if plan is None:
             raise ScenarioError("scenario has no 'measurement' section")
         try:
-            observables = list(plan["observables"])
-        except KeyError as exc:
-            raise ScenarioError(f"measurement: missing field {exc}") from None
-        return {
-            "observables": observables,
-            "n": int(plan.get("n", 100_000)),
-            "epsilon": float(plan.get("epsilon", finprob.DEFAULT_EPSILON)),
-            "delta": float(plan.get("delta", finprob.DEFAULT_DELTA)),
-            "block_size": int(plan.get("block_size", finprob.DEFAULT_BLOCK_SIZE)),
-            "guided": bool(plan.get("guided", False)),
-        }
+            return {
+                "observables": list(plan["observables"]),
+                "n": int(plan.get("n", 100_000)),
+                "epsilon": float(plan.get("epsilon", finprob.DEFAULT_EPSILON)),
+                "delta": float(plan.get("delta", finprob.DEFAULT_DELTA)),
+                "block_size": int(plan.get("block_size",
+                                           finprob.DEFAULT_BLOCK_SIZE)),
+                "guided": bool(plan.get("guided", False)),
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ScenarioError(f"measurement: bad field: {exc!r}") from None
 
 
 def _build_recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:

@@ -116,7 +116,12 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("tree", "tree_two_level", ("measurement", "observables"), None),
     ("stability", "stability_drift", SEGMENT + ("probs",), None),
     ("stability", "stability_drift", SEGMENT + ("blocks",), None),
-], ids=["kick_law", "observables", "probs", "blocks"])
+    ("tree", "tree_two_level", ("measurement",), ["A"]),
+    ("tree", "tree_two_level", ("measurement", "n"), "lots"),
+    ("stability", "stability_drift", SEGMENT, "segment"),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_samples"), "x"),
+], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
+        "n_type", "segment_type", "n_samples_type"])
 def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
     # a shipped scenario with one field set to ``value`` (None: deleted)
@@ -135,6 +140,41 @@ def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
     err = capsys.readouterr().err
     assert code == 2
     assert "scenario error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("block_history", None),
+    ("counts", {"a1": 20, "a2": 20}),
+    ("n_total", 41),
+], ids=["no_block_history", "counts_mismatch", "n_total_mismatch"])
+def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
+    # a readable law with one field set to ``value`` (None: deleted); the
+    # mismatched counts still sum to n_total, the table's 40 trials
+    doc = identical_blocks_doc()
+    law = doc["stability"]["law"]
+    if value is None:
+        del law[field]
+    else:
+        law[field] = value
+    path = write_scenario(tmp_path, doc)
+    code = cli.main(["stability", "--scenario", path,
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scenario error:" in err
+    assert "Traceback" not in err
+
+
+def test_stability_unknown_block_label_exit_code_1(tmp_path, capsys):
+    doc = identical_blocks_doc()
+    doc["stability"]["law"]["block_history"][0] = {"a1": 3, "zz": 1}
+    path = write_scenario(tmp_path, doc)
+    code = cli.main(["stability", "--scenario", path,
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "zz" in err
     assert "Traceback" not in err
 
 

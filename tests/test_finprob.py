@@ -39,9 +39,8 @@ def test_accumulate_opens_new_block_when_full():
     law = fresh(n0=2)
     for lab in ("a1", "a2", "a1"):
         law = accumulate(law, lab)
-    assert len(law.block_history) == 2
-    assert sum(law.block_history[0].values()) == 2
-    assert sum(law.block_history[1].values()) == 1
+    assert law.blocks.shape == (2, 2)
+    assert law.blocks.sum(axis=1).tolist() == [2, 1]
 
 
 def test_accumulate_is_value_like():
@@ -50,14 +49,33 @@ def test_accumulate_is_value_like():
     assert base.counts == {"a1": 1, "a2": 0}
 
 
-def test_batch_accumulate_matches_fold():
-    idx = np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0])
-    batch = accumulate_indices(fresh(n0=3), idx)
-    folded = fresh(n0=3)
-    for i in idx:
-        folded = accumulate(folded, LABELS[i])
-    assert batch.counts == folded.counts
-    assert batch.block_history == folded.block_history
+@st.composite
+def index_streams(draw):
+    n_labels = draw(st.integers(min_value=1, max_value=4))
+    n0 = draw(st.integers(min_value=1, max_value=6))
+    index = st.integers(min_value=0, max_value=n_labels - 1)
+    first = draw(st.lists(index, max_size=25))
+    second = draw(st.lists(index, max_size=25))
+    return n_labels, n0, first, second
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_streams())
+def test_batch_accumulate_matches_fold(stream):
+    # two batches, so the second tops up the first one's partial block
+    n_labels, n0, first, second = stream
+    labels = tuple(f"a{j}" for j in range(n_labels))
+    batch = accumulate_indices(accumulate_indices(
+        fresh(spectrum=labels, n0=n0), first), second)
+    folded = fresh(spectrum=labels, n0=n0)
+    for i in first + second:
+        folded = accumulate(folded, labels[i])
+    assert batch == folded
+    # oracle: one bincount per run of n0 consecutive outcomes
+    whole = first + second
+    assert batch.blocks.tolist() == [
+        np.bincount(whole[k:k + n0], minlength=n_labels).tolist()
+        for k in range(0, len(whole), n0)]
 
 
 # --- frequencies ------------------------------------------------------------
@@ -180,12 +198,11 @@ def test_merge_commutative_and_associative_up_to_block_order(laws):
     ba = merge(b, a)
     assert ab.counts == ba.counts
     assert ab.n_total == ba.n_total
-    assert sorted(map(sorted, (x.items() for x in ab.block_history))) == \
-        sorted(map(sorted, (x.items() for x in ba.block_history)))
+    assert sorted(ab.blocks.tolist()) == sorted(ba.blocks.tolist())
     left = merge(merge(a, b), c)
     right = merge(a, merge(b, c))
     assert left.counts == right.counts
-    assert left.block_history == right.block_history
+    assert left == right
 
 
 def test_merge_pooled_frequency_is_count_weighted_mean():
@@ -226,7 +243,31 @@ def test_json_round_trip_full():
 
 def test_law_invariants_enforced():
     with pytest.raises(ValueError):
-        FactualLaw(LABELS, {"a1": 1, "a2": 0}, 2, 4, 0.02, 0.05,
-                   [{"a1": 1}, {"a1": 1}])
+        FactualLaw(LABELS, [[1, 0, 0]], 4, 0.02, 0.05)
+    with pytest.raises(ValueError):
+        FactualLaw(LABELS, [1, 0], 4, 0.02, 0.05)
+    with pytest.raises(ValueError):
+        FactualLaw(LABELS, [[1, -1]], 4, 0.02, 0.05)
     with pytest.raises(UnknownLabelError):
-        FactualLaw(LABELS, {"zz": 1}, 1, 4, 0.02, 0.05, [{"zz": 1}])
+        FactualLaw.from_block_counts(LABELS, [{"a1": 1}, {"zz": 1}])
+    law = FactualLaw(LABELS, [[1, 2]], 4, 0.02, 0.05)
+    with pytest.raises(ValueError):
+        law.blocks[0, 0] = 5
+    assert law.counts == {"a1": 1, "a2": 2}
+    assert law.n_total == 3
+
+
+def test_json_declared_totals_must_match_block_table():
+    doc = finprob.to_json_dict(
+        accumulate_indices(fresh(n0=3), np.array([0, 1, 1, 0, 1])))
+    bad_counts = dict(doc, counts={"a1": 3, "a2": 2})
+    bad_total = dict(doc, n_total=6)
+    for bad in (bad_counts, bad_total):
+        with pytest.raises(ValueError):
+            finprob.from_json_dict(bad)
+    with pytest.raises(KeyError):
+        finprob.from_json_dict({k: v for k, v in doc.items()
+                                if k != "block_history"})
+    with pytest.raises(UnknownLabelError):
+        finprob.from_json_dict(dict(doc, block_history=[{"a1": 2, "zz": 1},
+                                                        {"a2": 2}]))

@@ -202,6 +202,12 @@ def test_run_successions_partition_independent():
              for off, size in ((0, 1_500), (1_500, 2_000), (3_500, 1_500))]
     merged = finprob.merge(finprob.merge(parts[0], parts[1]), parts[2])
     assert merged.counts == whole.counts
+    # splits on multiples of n0 keep the block boundaries too
+    parts = [run_successions(Simple("G", state=psi), obs, size,
+                             0.02, 0.05, 1_000, 99, trial_offset=off)
+             for off, size in ((0, 2_000), (2_000, 1_000), (3_000, 2_000))]
+    merged = finprob.merge(finprob.merge(parts[0], parts[1]), parts[2])
+    assert merged == whole
 
 
 # --- multi-system complete measurements --------------------------------------
@@ -261,4 +267,11 @@ def test_multisystem_joint_equals_factor_outcomes(rng):
         joint_law.counts["A1*A2:0"] + joint_law.counts["A1*A2:1"]
     assert marginals[1].counts["A2:0"] == \
         joint_law.counts["A1*A2:0"] + joint_law.counts["A1*A2:2"]
+    # block by block: sum the joint row over every flat index of a factor
+    for factor, marginal in enumerate(marginals):
+        expected = np.zeros(marginal.blocks.shape, dtype=np.int64)
+        for flat in range(4):
+            j = np.unravel_index(flat, (2, 2))[factor]
+            expected[:, j] += joint_law.blocks[:, flat]
+        assert np.array_equal(marginal.blocks, expected)
     assert abs(jf.sum() - 1.0) < 1e-12
