@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dbb, finprob, scenario
 from .errors import QfactError, ScenarioError
-from .genesis import run_successions
-from .hilbert import born_law, transform_between
+from .genesis import resolve_state, run_successions
+from .hilbert import born_law
 from .probtree import build_tree
 from .reconstruct import RetrievalConfig, StateReconstructor, predict_heldout
 from .seeding import trial_generator
@@ -68,42 +68,13 @@ def _verdict_doc(law, verdict) -> dict:
 # --------------------------------------------------------------------------
 
 def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
-    sect = scn.raw.get("stability")
-    if not isinstance(sect, dict):
-        raise ScenarioError("scenario has no 'stability' section")
-    if "law" in sect or "law_json" in sect:
-        try:
-            law = (finprob.from_json_dict(sect["law"]) if "law" in sect else
-                   finprob.from_json(Path(sect["law_json"]).read_text()))
-        except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"stability: cannot read the law: {exc!r}") from None
-    elif "sampling" in sect:
-        rec = sect["sampling"]
-        try:
-            labels = list(rec["labels"])
-            block_size = int(rec["block_size"])
-            eps = float(rec.get("epsilon", finprob.DEFAULT_EPSILON))
-            delta = float(rec.get("delta", finprob.DEFAULT_DELTA))
-            segments = rec["segments"]
-        except KeyError as exc:
-            raise ScenarioError(f"stability.sampling: missing field {exc}") from None
-        rows = []
-        for seg in segments:
-            try:
-                probs = np.asarray(seg["probs"], dtype=float)
-                n_blocks = int(seg["blocks"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ScenarioError(
-                    f"stability.sampling.segments: bad segment: {exc!r}") from None
-            if probs.size != len(labels):
-                raise ScenarioError("stability.sampling: probs/labels mismatch")
-            for _ in range(n_blocks):
-                rows.append(trial_generator(scn.seed, len(rows)).multinomial(
-                    block_size, probs / probs.sum()))
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(labels))
-        law = finprob.FactualLaw(labels, table, block_size, eps, delta)
-    else:
-        raise ScenarioError("stability section needs 'law', 'law_json' or 'sampling'")
+    law = scn.section("stability")
+    if isinstance(law, scenario.SamplingPlan):
+        probs = [p for p, n_blocks in law.segments for _ in range(n_blocks)]
+        table = np.array([trial_generator(scn.seed, b).multinomial(law.block_size, p)
+                          for b, p in enumerate(probs)], dtype=np.int64)
+        law = finprob.FactualLaw(law.labels, table.reshape(len(probs), len(law.labels)),
+                                 law.block_size, law.epsilon, law.delta)
     verdict = finprob.check_convergence(law)
     return {
         "stability_verdict.json": _json_text(_verdict_doc(law, verdict)),
@@ -112,13 +83,10 @@ def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
 
 
 def cmd_tree(scn: scenario.Scenario, workers: int) -> dict[str, str]:
-    if scn.generation is None:
-        raise ScenarioError("tree command needs a 'generation' recipe")
-    plan = scn.measurement_plan()
-    observables = [scn.observable(name) for name in plan["observables"]]
-    tree = build_tree(scn.generation, observables, plan["n"], plan["epsilon"],
-                      plan["delta"], plan["block_size"], scn.seed,
-                      guided=plan["guided"], workers=workers)
+    plan, recipe = scn.section("measurement"), scn.section("generation")
+    tree = build_tree(recipe, [scn.observable(o) for o in plan.observables], plan.n,
+                      plan.epsilon, plan.delta, plan.block_size, scn.seed,
+                      guided=plan.guided, workers=workers)
 
     outputs: dict[str, str] = {}
     verdicts: dict[str, dict] = {}
@@ -140,60 +108,30 @@ def cmd_tree(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     return outputs
 
 
-def _reconstruction_taus(scn: scenario.Scenario, reference: str, targets):
-    taus = []
-    for name in targets:
-        try:
-            taus.append(scn.transform(reference, name))
-        except ScenarioError:
-            taus.append(transform_between(scn.observable(reference),
-                                          scn.observable(name)))
-    return taus
-
-
 def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
-    sect = scn.raw.get("reconstruction")
-    if not isinstance(sect, dict):
-        raise ScenarioError("scenario has no 'reconstruction' section")
-    if scn.generation is None:
-        raise ScenarioError("reconstruct command needs a 'generation' recipe")
-    try:
-        reference = sect["reference"]
-        partners = list(sect["partners"])
-    except KeyError as exc:
-        raise ScenarioError(f"reconstruction: missing field {exc}") from None
-    heldout = list(sect.get("heldout", []))
-    source = sect.get("source", "exact")
-    restarts = int(sect.get("restarts", 32))
-
-    from .genesis import resolve_state
-    state = resolve_state(scn.generation)
-
-    names = [reference] + partners
-    laws: dict[str, object] = {}
-    if source == "exact":
-        for name in names:
-            laws[name] = born_law(state, scn.observable(name))
-        tol = float(sect.get("tol", 1e-10))
-        cfg_kw = dict(tol=tol, stop_tol=min(tol * 1e-10, 1e-20))
-    elif source == "sampled":
-        plan = scn.measurement_plan()
-        n = int(sect.get("n", plan["n"]))
-        for idx, name in enumerate(names):
-            laws[name] = run_successions(
-                scn.generation, scn.observable(name), n, plan["epsilon"],
-                plan["delta"], plan["block_size"], scn.seed,
-                trial_offset=idx * n, workers=workers)
-        n_terms = sum(scn.observable(p).dim for p in partners)
-        default_tol = RetrievalConfig.for_sampled_laws(n, n_terms).tol
-        tol = float(sect.get("tol", default_tol))
-        cfg_kw = dict(tol=tol, stop_tol=tol * 1e-6)
+    plan, recipe = scn.section("reconstruction"), scn.section("generation")
+    names = [plan.reference, *plan.partners]
+    if plan.source == "exact":
+        state = resolve_state(recipe)
+        laws = {name: born_law(state, scn.observable(name)) for name in names}
+        tol = RetrievalConfig.tol if plan.tol is None else plan.tol
+        stop_tol = min(tol * 1e-10, 1e-20)
     else:
-        raise ScenarioError(f"reconstruction source {source!r} unknown")
+        meas = scn.section("measurement")
+        n = meas.n if plan.n is None else plan.n
+        laws = {name: run_successions(
+            recipe, scn.observable(name), n, meas.epsilon, meas.delta,
+            meas.block_size, scn.seed, trial_offset=idx * n, workers=workers)
+            for idx, name in enumerate(names)}
+        n_terms = sum(scn.observable(p).dim for p in plan.partners)
+        tol = (RetrievalConfig.for_sampled_laws(n, n_terms).tol
+               if plan.tol is None else plan.tol)
+        stop_tol = tol * 1e-6
 
-    taus = _reconstruction_taus(scn, reference, partners + heldout)
-    est = StateReconstructor(reference=reference, restarts=restarts,
-                             seed=scn.seed, **cfg_kw)
+    taus = [scn.transform(plan.reference, name)
+            for name in [*plan.partners, *plan.heldout]]
+    est = StateReconstructor(reference=plan.reference, restarts=plan.restarts,
+                             seed=scn.seed, tol=tol, stop_tol=stop_tol)
     est.fit(laws, taus)
 
     outputs = {
@@ -204,12 +142,11 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
             "converged": est.report_.converged,
             "ambiguity_flag": est.report_.ambiguity_flag,
             "tolerance": tol,
-            "source": source,
+            "source": plan.source,
         }),
     }
-    tau_by_target = {t.target: t for t in taus}
-    for name in heldout:
-        predicted = predict_heldout(est.expansion_, tau_by_target[name])
+    for name in plan.heldout:
+        predicted = predict_heldout(est.expansion_, scn.transform(plan.reference, name))
         obs = scn.observable(name)
         outputs[f"predicted_{name}.json"] = _json_text(
             {obs.label(k): float(p) for k, p in enumerate(predicted)})
@@ -217,9 +154,8 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
 
 
 def cmd_exp(scn: scenario.Scenario, workers: int) -> dict[str, str]:
-    state = scenario.build_two_wave(scn.raw)
-    cfg = scenario.build_exp_config(scn.raw)
-    summary = dbb.simulate_exp(state, cfg, scn.seed)
+    summary = dbb.simulate_exp(scn.section("dbb.two_wave"),
+                               scn.section("dbb.exp"), scn.seed)
     p1, p2 = summary.reference_spectrum
     doc = {
         "n_trials": summary.n_trials,
@@ -245,14 +181,9 @@ def cmd_exp(scn: scenario.Scenario, workers: int) -> dict[str, str]:
 
 
 def cmd_borncheck(scn: scenario.Scenario, workers: int) -> dict[str, str]:
-    waves = scenario.build_plane_waves(scn.raw)
-    sect = (scn.raw.get("dbb") or {}).get("borncheck") or {}
-    try:
-        n_samples = int(sect.get("n_samples", 10_000))
-        bins = int(sect.get("bins", 64))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"dbb.borncheck: {exc}") from None
-    rec = dbb.extended_born_check(waves, n_samples, scn.seed, bins=bins)
+    plan = scn.section("dbb.borncheck")
+    rec = dbb.extended_born_check(scn.section("dbb.plane_waves"),
+                                  plan.n_samples, scn.seed, bins=plan.bins)
     vecs, wts = rec.candidate_spectrum
     doc = {
         "n_samples": rec.n_samples,

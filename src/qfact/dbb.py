@@ -51,6 +51,13 @@ class TwoWaveState:
             raise ValueError("nu, V, m0, M, c, h must all be positive")
         if self.chi <= 0:
             raise ValueError("chi = 2 pi (nu/V) cos(theta0) must be positive")
+        try:  # extreme parameters overflow or underflow what a run derives
+            derived = (self.guided_speed, self.fringe_period,
+                       self.h * self.nu / self.V, default_kappa(self))
+        except ArithmeticError as exc:
+            raise ValueError(f"a derived quantity is out of range ({exc})") from None
+        if not all(map(math.isfinite, (*vars(self).values(), *derived))):
+            raise ValueError("parameters and derived quantities must be finite")
         if abs(self.guided_speed) >= self.c:
             raise ValueError("guided speed (c^2/V) sin(theta0) must stay below c")
 
@@ -239,8 +246,8 @@ class ExpConfig:
         if self.kick_law not in ("uniform", "normal"):
             raise ValueError(f"kick_law must be 'uniform' or 'normal', "
                              f"got {self.kick_law!r}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be positive")
+        if self.n_trials < 1 or self.z_periods < 1:
+            raise ValueError("n_trials and z_periods must be positive")
 
 
 @dataclass
@@ -413,8 +420,8 @@ class PlaneWaveSum:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.components:
-            raise ValueError("need at least one component")
+        if not self.components or any(len(p) != 3 for _, p in self.components):
+            raise ValueError("need at least one component, each momentum 3-D")
         if not any(abs(w) > 0 for w, _ in self.components):
             raise ValueError("weights must not all vanish")
         if self.box <= 0 or self.hbar <= 0:

@@ -240,9 +240,9 @@ def from_json_dict(doc: dict) -> FactualLaw:
     """Read :func:`to_json_dict`'s layout; the declared ``counts`` and
     ``n_total`` must equal the sums of the block table."""
     law = FactualLaw.from_block_counts(
-        doc["spectrum"], doc["block_history"], float(doc["epsilon"]),
-        float(doc["delta"]), int(doc["block_size_n0"]))
-    declared = {str(k): int(v) for k, v in doc["counts"].items()}
+        doc["spectrum"], [dict(b) for b in doc["block_history"]],
+        float(doc["epsilon"]), float(doc["delta"]), int(doc["block_size_n0"]))
+    declared = {str(k): int(v) for k, v in dict(doc["counts"]).items()}
     if declared != law.counts or int(doc["n_total"]) != law.n_total:
         raise ValueError("declared counts and n_total disagree with the block table")
     return law

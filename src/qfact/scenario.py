@@ -1,15 +1,18 @@
 """Scenario files: the JSON schema driving every CLI pipeline.
 
 Complex numbers are [re, im] pairs; matrices are row-major nested lists.
-All referenced names must resolve and every matrix passes its module
-invariant at load time, so a malformed scenario fails before any run.
+``load_scenario`` is the only reader of the document: whatever the command,
+it checks every section present and builds its frozen config.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -25,232 +28,291 @@ from .hilbert import (
 )
 
 
-def _complex_scalar(v, where: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ScenarioError(f"{where}: complex numbers are [re, im] pairs")
-    return complex(float(v[0]), float(v[1]))
+@dataclass(frozen=True)
+class MeasurementPlan:
+    observables: tuple[str, ...]
+    n: int = 100_000
+    epsilon: float = finprob.DEFAULT_EPSILON
+    delta: float = finprob.DEFAULT_DELTA
+    block_size: int = finprob.DEFAULT_BLOCK_SIZE
+    guided: bool = False
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be positive")
+        # the laws' own checks of epsilon, delta and block_size
+        finprob.FactualLaw.empty((), self.epsilon, self.delta, self.block_size)
 
 
-def _complex_vector(v, where: str) -> np.ndarray:
-    try:
-        return np.array([_complex_scalar(x, where) for x in v],
-                        dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: bad complex vector: {exc}") from None
+@dataclass(frozen=True)
+class SamplingPlan:
+    """One multinomial draw of ``block_size`` trials per block; each segment
+    is (probabilities normalized to sum 1, number of blocks)."""
+
+    labels: tuple[str, ...]
+    block_size: int
+    segments: tuple[tuple[np.ndarray, int], ...]
+    epsilon: float = finprob.DEFAULT_EPSILON
+    delta: float = finprob.DEFAULT_DELTA
+
+    def __post_init__(self):
+        # the law's own checks of the labels, epsilon, delta and block_size
+        finprob.FactualLaw.empty(self.labels, self.epsilon, self.delta, self.block_size)
+        segments = []
+        for probs, blocks in self.segments:
+            probs = np.array(probs, dtype=float)
+            if (probs.shape != (len(self.labels),) or (probs < 0).any()
+                    or not 0 < probs.sum() < math.inf or blocks < 0):
+                raise ValueError("a segment needs blocks >= 0 and one prob >= 0 "
+                                 "per label, with a finite positive sum")
+            segments.append((probs / probs.sum(), blocks))
+        object.__setattr__(self, "segments", tuple(segments))
 
 
-def _complex_matrix(v, where: str) -> np.ndarray:
-    try:
-        return np.array([[_complex_scalar(x, where) for x in row] for row in v],
-                        dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: bad complex matrix: {exc}") from None
+@dataclass(frozen=True)
+class ReconstructionPlan:
+    """``tol`` None: ``RetrievalConfig``'s default for exact laws, one scaled
+    to the noise for sampled laws; ``n`` None: the measurement plan's."""
+
+    reference: str
+    partners: tuple[str, ...]
+    heldout: tuple[str, ...] = ()
+    source: str = "exact"
+    restarts: int = 32
+    tol: float | None = None
+    n: int | None = None
+
+    def __post_init__(self):
+        given = [x for x in (self.restarts, self.tol, self.n) if x is not None]
+        if self.source not in ("exact", "sampled") or min(given) <= 0:
+            raise ValueError(f"bad source {self.source!r}, or restarts, tol or n <= 0")
 
 
-def encode_complex_vector(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec)]
+@dataclass(frozen=True)
+class BornCheckPlan:
+    n_samples: int = 10_000
+    bins: int = 64
 
-
-def encode_complex_matrix(mat) -> list:
-    return [encode_complex_vector(row) for row in np.asarray(mat)]
+    def __post_init__(self):
+        if self.n_samples < 1 or self.bins < 1:
+            raise ValueError("n_samples and bins must be positive")
 
 
 @dataclass
 class Scenario:
+    """Seed, output directory and the config of each section present."""
+
     seed: int
-    raw: dict
-    states: dict[str, OracleState] = field(default_factory=dict)
-    observables: dict[str, ObservableSpec] = field(default_factory=dict)
-    hamiltonians: dict[str, HamiltonianSpec] = field(default_factory=dict)
-    transforms: list[TransformMatrix] = field(default_factory=list)
-    generation: GenerationOp | None = None
     output_dir: str = "out"
+    sections: dict[str, object] = field(default_factory=dict)
+
+    def section(self, name: str):  # "dbb.exp" is "exp" inside "dbb"
+        if name not in self.sections:
+            raise ScenarioError(f"scenario has no {name!r} section")
+        return self.sections[name]
 
     def observable(self, name: str) -> ObservableSpec:
-        if name not in self.observables:
+        if name not in self.sections.get("observables", {}):
             raise ScenarioError(f"unknown observable {name!r}")
-        return self.observables[name]
+        return self.sections["observables"][name]
 
     def transform(self, source: str, target: str) -> TransformMatrix:
-        for t in self.transforms:
-            if (t.source, t.target) == (source, target):
-                return t
-        raise ScenarioError(f"no transform {source!r} -> {target!r} in scenario")
-
-    def measurement_plan(self) -> dict:
-        plan = self.raw.get("measurement")
-        if plan is None:
-            raise ScenarioError("scenario has no 'measurement' section")
-        try:
-            return {
-                "observables": list(plan["observables"]),
-                "n": int(plan.get("n", 100_000)),
-                "epsilon": float(plan.get("epsilon", finprob.DEFAULT_EPSILON)),
-                "delta": float(plan.get("delta", finprob.DEFAULT_DELTA)),
-                "block_size": int(plan.get("block_size",
-                                           finprob.DEFAULT_BLOCK_SIZE)),
-                "guided": bool(plan.get("guided", False)),
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"measurement: bad field: {exc!r}") from None
+        """The declared transform, else the one between the two eigenbases."""
+        return self.sections.get("transforms", {}).get((source, target)) or \
+            transform_between(self.observable(source), self.observable(target))
 
 
-def _build_recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ScenarioError(f"{where}: recipe needs a 'kind'")
-    kind = doc["kind"]
-    rid = doc.get("id", where)
-    attachment = _build_attachment(doc.get("attachment"), scn, where)
+# readers: each returns a checked value or raises TypeError or ValueError
+
+@contextmanager
+def _reading(where: str):
+    """Error boundary of one section or field: a malformed value becomes a
+    ScenarioError prefixed with ``where``; other QfactErrors pass through."""
     try:
-        if kind == "simple":
-            state = scn.states.get(doc["state"])
-            if state is None:
-                raise ScenarioError(f"{where}: unknown state {doc['state']!r}")
-            return Simple(rid, state=state, attachment=attachment)
-        if kind == "composed":
-            weights = tuple(_complex_scalar(w, where) for w in doc["weights"])
-            comps = tuple(_build_recipe(c, scn, f"{where}.components[{i}]")
-                          for i, c in enumerate(doc["components"]))
-            return Composed(rid, weights=weights, components=comps,
-                            attachment=attachment)
-        if kind == "evolved":
-            base = _build_recipe(doc["base"], scn, f"{where}.base")
-            ham = scn.hamiltonians.get(doc["hamiltonian"])
-            if ham is None:
-                raise ScenarioError(
-                    f"{where}: unknown Hamiltonian {doc['hamiltonian']!r}")
-            return Evolved(rid, base=base, hamiltonian=ham,
-                           dt=float(doc.get("dt", 0.0)), attachment=attachment)
-        if kind == "multisystem":
-            state = scn.states.get(doc["state"])
-            if state is None:
-                raise ScenarioError(f"{where}: unknown state {doc['state']!r}")
-            return MultiSystem(rid, joint_state=state,
-                               factor_dims=tuple(int(d) for d in doc["factor_dims"]),
-                               factor_labels=tuple(doc.get(
-                                   "factor_labels",
-                                   [f"S{i+1}" for i in range(len(doc["factor_dims"]))])),
-                               attachment=attachment)
+        yield
     except KeyError as exc:
-        raise ScenarioError(f"{where}: missing field {exc}") from None
-    raise ScenarioError(f"{where}: unknown recipe kind {kind!r}")
+        raise ScenarioError(f"{where}: missing or unknown {exc}") from None
+    except (ScenarioError, TypeError, ValueError, ArithmeticError, OSError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _build_attachment(doc, scn: Scenario, where: str):
-    if doc is None:
-        return None
-    if doc == "two_wave":
-        return build_two_wave(scn.raw)
-    if doc == "plane_waves":
-        return build_plane_waves(scn.raw)
-    raise ScenarioError(f"{where}: unknown attachment {doc!r}")
+def _expect(v, ok: bool, what: str):
+    if not ok:
+        raise TypeError(f"expected {what}, got {v!r}")
+    return v
 
 
-def build_two_wave(raw: dict) -> dbb.TwoWaveState:
-    doc = (raw.get("dbb") or {}).get("two_wave")
-    if doc is None:
-        raise ScenarioError("scenario has no dbb.two_wave section")
-    try:
-        if "v12" in doc:
-            return dbb.TwoWaveState.from_corpuscle_speed(
-                v12=float(doc["v12"]), theta0=float(doc["theta0"]),
-                delta_phase=float(doc.get("delta_phase", 0.0)),
-                m0=float(doc["m0"]),
-                c=float(doc.get("c", 299_792_458.0)),
-                h=float(doc.get("h", 6.626_070_15e-34)))
-        return dbb.TwoWaveState(
-            nu=float(doc["nu"]), V=float(doc["V"]), theta0=float(doc["theta0"]),
-            delta_phase=float(doc.get("delta_phase", 0.0)),
-            m0=float(doc["m0"]), M=float(doc["M"]),
-            c=float(doc.get("c", 299_792_458.0)),
-            h=float(doc.get("h", 6.626_070_15e-34)))
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"dbb.two_wave: {exc}") from None
+def _instance(kind, what: str):
+    return lambda v: _expect(v, isinstance(v, kind), what)
 
 
-def build_exp_config(raw: dict) -> dbb.ExpConfig:
-    doc = (raw.get("dbb") or {}).get("exp")
-    if doc is None:
-        raise ScenarioError("scenario has no dbb.exp section")
-    try:
-        return dbb.ExpConfig(
-            lambda_sep=float(doc["lambda_sep"]),
-            kappa=None if doc.get("kappa") is None else float(doc["kappa"]),
-            kick_law=doc.get("kick_law", "uniform"),
-            kick_half_width=float(doc.get("kick_half_width", math.pi / 2.0)),
-            n_trials=int(doc.get("n_trials", 10_000)),
-            elastic_interactions_per_trial=int(
-                doc.get("elastic_interactions_per_trial", 0)),
-            z_periods=int(doc.get("z_periods", 8)),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ScenarioError(f"dbb.exp: {exc}") from None
+def _list_of(read):
+    return lambda v: tuple(map(read, _expect(v, isinstance(v, list), "a list")))
 
 
-def build_plane_waves(raw: dict) -> dbb.PlaneWaveSum:
-    doc = (raw.get("dbb") or {}).get("plane_waves")
-    if doc is None:
-        raise ScenarioError("scenario has no dbb.plane_waves section")
-    try:
-        comps = tuple(
-            (_complex_scalar(c["weight"], "plane_waves"),
-             tuple(float(x) for x in c["momentum"]))
-            for c in doc["components"])
-        return dbb.PlaneWaveSum(components=comps, box=float(doc["box"]),
-                                hbar=float(doc.get("hbar", 1.0)))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"dbb.plane_waves: {exc}") from None
+def _real(v) -> float:
+    ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return float(_expect(v, ok and math.isfinite(v), "a finite number"))
+
+
+def _integer(v) -> int:
+    """A JSON integer, or an integral float such as 1e6, below 2**63."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    ok = isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2 ** 63
+    return _expect(v, ok, "an integer below 2**63")
+
+
+def _complex(v) -> complex:
+    _expect(v, isinstance(v, list) and len(v) == 2, "an [re, im] pair")
+    return complex(_real(v[0]), _real(v[1]))
+
+
+_object = _instance(dict, "an object")
+_string = _instance(str, "a string")
+_flag = _instance(bool, "true or false")
+_names, _reals = _list_of(_string), _list_of(_real)
+_complex_vector = _list_of(_complex)
+_complex_matrix = _list_of(_complex_vector)
+
+
+def _fields(doc, /, **readers) -> dict:
+    """The fields of the object ``doc`` that ``readers`` names, each through
+    its reader; a field left out keeps the default of the config built."""
+    doc, out = _object(doc), {}
+    for key in [key for key in readers if key in doc]:
+        with _reading(key):
+            out[key] = readers[key](doc[key])
+    return out
+
+
+def _observable_name(scn: Scenario):
+    return lambda v: scn.observable(_string(v)).name
+
+
+# sections: name -> builder of its config from (its object, the scenario)
+
+def _table(build):
+    """Builder of a section of named entries, each through ``build``."""
+    return lambda doc, scn: _fields(doc, **{k: partial(build, k) for k in _object(doc)})
+
+
+def _transforms(doc, scn: Scenario) -> dict:
+    out = {}
+    for e in reversed(_list_of(_object)(doc)):  # the first declared wins
+        src, tgt = _string(e["source"]), _string(e["target"])
+        out[src, tgt] = scn.transform(src, tgt) if "entries" not in e else \
+            TransformMatrix(src, tgt, np.array(_complex_matrix(e["entries"])))
+    return out
+
+
+def _stability(doc, scn: Scenario):
+    if "law" in _object(doc):
+        return finprob.from_json_dict(_object(doc["law"]))
+    if "law_json" in doc:
+        return finprob.from_json(Path(_string(doc["law_json"])).read_text())
+    if "sampling" in doc:
+        return SamplingPlan(**_fields(
+            doc["sampling"], labels=_names, block_size=_integer, epsilon=_real,
+            delta=_real, segments=_list_of(
+                lambda s: (_reals(_object(s)["probs"]), _integer(s["blocks"])))))
+    raise ValueError("needs 'law', 'law_json' or 'sampling'")
+
+
+def _two_wave(doc, scn: Scenario) -> dbb.TwoWaveState:
+    kw = {"delta_phase": 0.0, **_fields(doc, **dict.fromkeys(
+        ("v12", "nu", "V", "theta0", "delta_phase", "m0", "M", "c", "h"), _real))}
+    build = dbb.TwoWaveState.from_corpuscle_speed if "v12" in kw else dbb.TwoWaveState
+    return build(**kw)
+
+
+def _exp(doc, scn: Scenario) -> dbb.ExpConfig:
+    wave = scn.sections.get("dbb.two_wave")
+    if wave is not None and not wave.guided_speed > 0:
+        raise ValueError("the dbb.two_wave guided speed must be positive")
+    return dbb.ExpConfig(**_fields(
+        doc, lambda_sep=_real, kappa=lambda v: v if v is None else _real(v),
+        kick_law=_string, kick_half_width=_real, n_trials=_integer,
+        elastic_interactions_per_trial=_integer, z_periods=_integer))
+
+
+def _recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
+    kind, rid = _object(doc)["kind"], _string(doc.get("id", where))
+    attachment = doc.get("attachment")
+    if attachment is not None:  # a dbb wave
+        attachment = scn.section({"two_wave": "dbb.two_wave",
+                                  "plane_waves": "dbb.plane_waves"}[attachment])
+    if kind in ("simple", "multisystem"):
+        state = scn.section("states")[_string(doc["state"])]
+    if kind == "simple":
+        return Simple(rid, state=state, attachment=attachment)
+    if kind == "composed":
+        comps = tuple(_recipe(c, scn, f"{where}.components[{i}]")
+                      for i, c in enumerate(_list_of(_object)(doc["components"])))
+        return Composed(rid, weights=_complex_vector(doc["weights"]), components=comps,
+                        attachment=attachment)
+    if kind == "evolved":
+        ham = scn.section("hamiltonians")[_string(doc["hamiltonian"])]
+        return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
+                       hamiltonian=ham, attachment=attachment, **_fields(doc, dt=_real))
+    if kind == "multisystem":
+        dims = _list_of(_integer)(doc["factor_dims"])
+        labels = (_names(doc["factor_labels"]) if "factor_labels" in doc
+                  else tuple(f"S{i+1}" for i in range(len(dims))))
+        return MultiSystem(rid, joint_state=state, factor_dims=dims,
+                           factor_labels=labels, attachment=attachment)
+    raise ValueError(f"unknown recipe kind {kind!r} in {where}")
+
+
+# built in this order: a section may use the ones above it
+_SECTIONS = {
+    "states": _table(lambda _, vec: OracleState(np.array(_complex_vector(vec)))),
+    "observables": _table(lambda name, doc: ObservableSpec(
+        name, np.array(_reals(_object(doc)["eigenvalues"])),
+        np.array(_complex_matrix(doc["eigenbasis"])))),
+    "hamiltonians": _table(lambda name, doc: HamiltonianSpec(
+        np.array(_complex_matrix(_object(doc)["matrix"])),
+        **_fields(doc, hbar=_real))),
+    "transforms": _transforms,
+    "measurement": lambda doc, scn: MeasurementPlan(**_fields(
+        doc, observables=_list_of(_observable_name(scn)), n=_integer, epsilon=_real,
+        delta=_real, block_size=_integer, guided=_flag)),
+    "stability": _stability,
+    "reconstruction": lambda doc, scn: ReconstructionPlan(**_fields(
+        doc, reference=_observable_name(scn), partners=_list_of(_observable_name(scn)),
+        heldout=_list_of(_observable_name(scn)), source=_string, restarts=_integer,
+        tol=_real, n=_integer)),
+    "dbb.two_wave": _two_wave,
+    "dbb.exp": _exp,
+    "dbb.plane_waves": lambda doc, scn: dbb.PlaneWaveSum(**_fields(
+        doc, box=_real, hbar=_real, components=_list_of(
+            lambda c: (_complex(_object(c)["weight"]), _reals(c["momentum"]))))),
+    "dbb.borncheck": lambda doc, scn: BornCheckPlan(
+        **_fields(doc, n_samples=_integer, bins=_integer)),
+    "generation": _recipe,
+}
 
 
 def load_scenario(text: str, seed_override: int | None = None) -> Scenario:
-    """Parse and validate a scenario document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    if "seed" not in raw and seed_override is None:
-        raise ScenarioError("scenario needs a 'seed'")
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    scn = Scenario(seed=seed, raw=raw,
-                   output_dir=str(raw.get("output_dir", "out")))
-    for name, vec in (raw.get("states") or {}).items():
-        try:
-            scn.states[name] = OracleState(_complex_vector(vec, f"states.{name}"))
-        except ValueError as exc:
-            raise ScenarioError(f"states.{name}: {exc}") from None
-    for name, doc in (raw.get("observables") or {}).items():
-        try:
-            scn.observables[name] = ObservableSpec(
-                name, np.asarray(doc["eigenvalues"], dtype=float),
-                _complex_matrix(doc["eigenbasis"], f"observables.{name}"))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"observables.{name}: {exc}") from None
-    for name, doc in (raw.get("hamiltonians") or {}).items():
-        try:
-            scn.hamiltonians[name] = HamiltonianSpec(
-                _complex_matrix(doc["matrix"], f"hamiltonians.{name}"),
-                hbar=float(doc.get("hbar", 1.0)))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"hamiltonians.{name}: {exc}") from None
-    for doc in raw.get("transforms") or []:
-        try:
-            src, tgt = doc["source"], doc["target"]
-            if "entries" in doc:
-                scn.transforms.append(TransformMatrix(
-                    src, tgt, _complex_matrix(doc["entries"], "transforms")))
-            else:
-                scn.transforms.append(
-                    transform_between(scn.observable(src), scn.observable(tgt)))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"transforms: {exc}") from None
-    if raw.get("generation") is not None:
-        scn.generation = _build_recipe(raw["generation"], scn)
+    """Parse and validate a scenario document into its configs."""
+    with _reading("scenario"):
+        raw = _object(json.loads(text))
+    with _reading("seed"):
+        seed = _integer(raw["seed"]) if seed_override is None else int(seed_override)
+        _expect(seed, seed >= 0, "a non-negative integer")
+    scn = Scenario(seed, **_fields(raw, output_dir=_string))
+    with _reading("dbb"):
+        # dbb.borncheck may be left out: all its fields have defaults
+        docs = {**raw, "dbb.borncheck": {}, **{
+            f"dbb.{key}": doc for key, doc in _object(raw.get("dbb", {})).items()}}
+    for name, build in _SECTIONS.items():
+        if docs.get(name) is not None:
+            with _reading(name):
+                scn.sections[name] = build(docs[name], scn)
     return scn
 
 
 def load_scenario_file(path, seed_override: int | None = None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read(), seed_override)
+    with _reading(f"scenario file {path}"):
+        text = Path(path).read_text(encoding="utf-8")
+    return load_scenario(text, seed_override)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -60,7 +61,7 @@ def test_scenario_rejects_invalid_matrix():
     doc = {"seed": 1, "observables": {"A": {
         "eigenvalues": [0.0, 1.0],
         "eigenbasis": [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}}}
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="^observables: A: "):
         scenario.load_scenario(json.dumps(doc))
 
 
@@ -69,6 +70,16 @@ def test_scenario_requires_seed():
         scenario.load_scenario("{}")
     scn = scenario.load_scenario("{}", seed_override=5)
     assert scn.seed == 5
+    with pytest.raises(ScenarioError):
+        scenario.load_scenario("{}", seed_override=-1)
+
+
+def test_missing_scenario_file_exit_code_2(tmp_path, capsys):
+    code = cli.main(["tree", "--scenario", str(tmp_path / "nope.json"),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scenario error:" in err and "nope.json" in err
 
 
 def test_scenario_complex_pairs_enforced():
@@ -120,11 +131,25 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("tree", "tree_two_level", ("measurement", "n"), "lots"),
     ("stability", "stability_drift", SEGMENT, "segment"),
     ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_samples"), "x"),
+    ("stability", "stability_drift", ("stability", "sampling"), ["x"]),
+    ("stability", "stability_drift", ("stability", "sampling", "labels"),
+     ["heads", "heads"]),
+    ("stability", "stability_drift", SEGMENT + ("probs",), [-0.3, 1.3]),
+    ("exp", "trace_experiment", ("dbb", "two_wave", "theta0"), 0),
+    ("exp", "trace_experiment", ("dbb", "two_wave", "m0"), 1e300),
+    ("exp", "trace_experiment", ("dbb", "two_wave", "v12"), 1e-300),
+    ("borncheck", "trace_experiment", ("dbb", "two_wave", "m0"), 1e-300),
+    ("tree", "tree_two_level", ("seed",), "x"),
+    ("stability", "stability_drift", ("seed",), True),
+    ("exp", "trace_experiment", ("dbb", "plane_waves", "box"), "x"),
 ], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
-        "n_type", "segment_type", "n_samples_type"])
+        "n_type", "segment_type", "n_samples_type", "sampling_type",
+        "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
+        "v12_underflow", "m0_underflow", "seed_type", "seed_bool", "unused_section"])
 def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
-    # a shipped scenario with one field set to ``value`` (None: deleted)
+    # a shipped scenario with one field set to ``value`` (None: deleted);
+    # every section present is checked, also one the command does not use
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     *outer, key = path
     section = doc
@@ -417,3 +442,61 @@ def test_shipped_scenario_bytes_pinned(tmp_path, command, name):
                      "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == SHIPPED_CHECKSUMS[(command, name)]
+
+
+# every leaf of a shipped scenario set to each of these values in turn
+MUTANTS = ("x", -1, None, [], {}, 0, 1e300, 1e-300, True)
+# heavy counts of the shipped scenarios, cut before any mutation
+SHRUNK = {("measurement", "n"): 20_000, ("dbb", "exp", "n_trials"): 500,
+          ("dbb", "borncheck", "n_samples"): 500,
+          ("stability", "sampling", "block_size"): 100}
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _leaf_paths(node, path=()):
+    """Paths to the leaves of a JSON document; a list of numbers (a complex
+    pair, eigenvalues, a momentum) is one leaf."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and not all(map(_is_number, node)):
+        items = enumerate(node)
+    else:
+        yield path
+        return
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _set_leaf(doc, path, value):
+    *outer, key = path
+    for part in outer:
+        doc = doc[part]
+    doc[key] = value
+
+
+@pytest.mark.parametrize("command,name", list(SHIPPED_CHECKSUMS))
+def test_scenario_mutations_exit_cleanly(tmp_path, capsys, command, name):
+    base = json.loads((SCENARIOS / f"{name}.json").read_text())
+    leaves = list(_leaf_paths(base))
+    for path, value in SHRUNK.items():
+        if path in leaves:
+            _set_leaf(base, path, value)
+    failures = []
+    for path in leaves:
+        for value in MUTANTS:
+            doc = copy.deepcopy(base)
+            _set_leaf(doc, path, value)
+            scn_path = write_scenario(tmp_path, doc)
+            try:
+                code = cli.main([command, "--scenario", scn_path,
+                                 "--out", str(tmp_path / "out")])
+            except Exception as exc:
+                failures.append((path, value, repr(exc)))
+                continue
+            if code not in (0, 1, 2):
+                failures.append((path, value, code))
+    capsys.readouterr()
+    assert failures == []
