@@ -114,8 +114,7 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     if plan.source == "exact":
         state = resolve_state(recipe)
         laws = {name: born_law(state, scn.observable(name)) for name in names}
-        tol = RetrievalConfig.tol if plan.tol is None else plan.tol
-        stop_tol = min(tol * 1e-10, 1e-20)
+        cfg = RetrievalConfig()
     else:
         meas = scn.section("measurement")
         n = meas.n if plan.n is None else plan.n
@@ -123,15 +122,13 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
             recipe, scn.observable(name), n, meas.epsilon, meas.delta,
             meas.block_size, scn.seed, trial_offset=idx * n, workers=workers)
             for idx, name in enumerate(names)}
-        n_terms = sum(scn.observable(p).dim for p in plan.partners)
-        tol = (RetrievalConfig.for_sampled_laws(n, n_terms).tol
-               if plan.tol is None else plan.tol)
-        stop_tol = tol * 1e-6
-
+        cfg = RetrievalConfig.for_sampled_laws(
+            n, sum(scn.observable(p).dim for p in plan.partners))
+    tol = cfg.tol if plan.tol is None else plan.tol
     taus = [scn.transform(plan.reference, name)
             for name in [*plan.partners, *plan.heldout]]
     est = StateReconstructor(reference=plan.reference, restarts=plan.restarts,
-                             seed=scn.seed, tol=tol, stop_tol=stop_tol)
+                             seed=scn.seed, tol=tol)
     est.fit(laws, taus)
 
     outputs = {

@@ -1,8 +1,8 @@
 """State expansion reconstruction from measured frequency laws.
 
 Amplitudes come straight from square roots of frequencies.  Phases are the
-unknowns: they are fit by multi-start gradient descent on the consistency
-residual
+unknowns: they are fit by multi-start Levenberg-Marquardt on the consistency
+residual, a sum of squares that is zero at the answer for exact laws,
 
     R(alpha) = sum_B sum_k ( |sum_j tau^B_kj sqrt(pi_A(j)) e^{i alpha_j}|^2
                              - pi_B(k) )^2
@@ -32,22 +32,29 @@ from .hilbert import TransformMatrix, dirac_transform
 
 AMPLITUDE_SUM_TOL = 1e-8
 ZERO_AMP = 1e-12
+# Levenberg-Marquardt damping: start, factors on a kept and a rejected step,
+# floor (J's anchor column is zero) and the cap past which a restart stalls
+DAMPING_START, DAMPING_SHRINK, DAMPING_GROW = 1e-3, 0.3, 10.0
+DAMPING_FLOOR, DAMPING_CAP = 1e-15, 1e10
 
 
 @dataclass(frozen=True)
 class RetrievalConfig:
     restarts: int = 32
     tol: float = 1e-10          # accept the fit when R falls at or below this
-    stop_tol: float = 1e-20     # descend no further once R is this small
+    stop_tol: float | None = None  # descend no further; None: tol * 1e-10
     max_iter: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        if self.stop_tol is None:
+            object.__setattr__(self, "stop_tol", self.tol * 1e-10)
 
     @classmethod
     def for_sampled_laws(cls, n_trials: int, n_terms: int, **kw) -> "RetrievalConfig":
         """Tolerance scaled to sampling noise: ten times the squared binomial
         sigma (at worst 1/(2 sqrt n)) summed over all residual terms."""
-        tol = 10.0 * n_terms * 0.25 / n_trials
-        return cls(tol=tol, stop_tol=tol * 1e-6, **kw)
+        return cls(tol=10.0 * n_terms * 0.25 / n_trials, **kw)
 
 
 @dataclass
@@ -123,64 +130,52 @@ def _wrap_phase(alpha: np.ndarray) -> np.ndarray:
     return wrapped
 
 
+def _residual_terms(alpha: np.ndarray, amp: np.ndarray, partners,
+                    anchor: int = 0):
+    """Residual terms r_k = |d_k|^2 - pi_B(k) of all partners, shape (m, K),
+    and their Jacobian dr_k/dalpha_j = -2 Im(conj(d_k) tau_kj c_j), shape
+    (m, K, d), with the anchor column zero (gauge freedom)."""
+    tau = np.concatenate([tau for tau, _ in partners])
+    c = amp * np.exp(1j * alpha)
+    d = c @ tau.T
+    jac = -2.0 * np.imag(d.conj()[:, :, None] * tau * c[:, None, :])
+    jac[:, :, anchor] = 0.0
+    return np.abs(d) ** 2 - np.concatenate([law for _, law in partners]), jac
+
+
 def _residual_and_grad(alpha: np.ndarray, amp: np.ndarray, partners,
                        anchor: int = 0):
-    """Batched R and dR/dalpha for alpha of shape (m, d).  The anchor
-    component's phase is held fixed (gauge freedom)."""
-    c = amp * np.exp(1j * alpha)
-    r_total = np.zeros(alpha.shape[0])
-    grad = np.zeros_like(alpha)
-    for tau, target in partners:
-        d = c @ tau.T
-        r = np.abs(d) ** 2 - target
-        r_total += np.sum(r ** 2, axis=1)
-        grad += -4.0 * np.imag(c * ((r * d.conj()) @ tau))
-    grad[:, anchor] = 0.0
-    return r_total, grad
+    """Batched R = sum_k r_k^2 and dR/dalpha = 2 J^T r, alpha of shape (m, d)."""
+    r, jac = _residual_terms(alpha, amp, partners, anchor)
+    return np.sum(r ** 2, axis=1), 2.0 * np.einsum("mkj,mk->mj", jac, r)
 
 
 def _descend(alpha: np.ndarray, amp: np.ndarray, partners, max_iter: int,
              stop_tol: float, anchor: int = 0):
-    """Monotone gradient descent with Armijo backtracking, batched over
-    restarts.  Step sizes follow the Barzilai-Borwein secant rule (plain
-    doubling as fallback), which keeps the endgame fast on ill-conditioned
-    bowls; every accepted step still strictly decreases R."""
-    m = alpha.shape[0]
-    step = np.full(m, 1.0)
-    value, grad = _residual_and_grad(alpha, amp, partners, anchor)
-    active = np.ones(m, dtype=bool)
+    """Levenberg-Marquardt, batched over restarts: each step solves
+    (J^T J + lambda I) s = -J^T r for every active restart and is kept only
+    where it lowers R; lambda shrinks on a kept step, grows on a rejected
+    one.  A restart stops at R <= stop_tol or lambda > DAMPING_CAP."""
+    r, jac = _residual_terms(alpha, amp, partners, anchor)
+    value = np.sum(r ** 2, axis=1)
+    damping = np.full(alpha.shape[0], DAMPING_START)
+    eye = np.eye(alpha.shape[1])
     for _ in range(max_iter):
-        gnorm2 = np.sum(grad ** 2, axis=1)
-        active &= value > stop_tol
-        active &= gnorm2 > 1e-30
-        if not active.any():
+        idx = np.flatnonzero((value > stop_tol) & (damping <= DAMPING_CAP))
+        if idx.size == 0:
             break
-        accepted = np.zeros(m, dtype=bool)
-        taken = np.zeros(m)
-        for _bt in range(60):
-            trial = np.where(active & ~accepted)[0]
-            if trial.size == 0:
-                break
-            cand = alpha[trial] - step[trial, None] * grad[trial]
-            cand_val, _ = _residual_and_grad(cand, amp, partners, anchor)
-            ok = cand_val <= value[trial] - 1e-4 * step[trial] * gnorm2[trial]
-            idx = trial[ok]
-            alpha[idx] = cand[ok]
-            value[idx] = cand_val[ok]
-            taken[idx] = step[idx]
-            accepted[idx] = True
-            step[trial[~ok]] *= 0.5
-        active &= accepted
-        if accepted.any():
-            _, new_grad = _residual_and_grad(alpha, amp, partners, anchor)
-            # BB1 secant step from s = -t g_old, y = g_new - g_old
-            y = new_grad - grad
-            sy = -taken * np.sum(grad * y, axis=1)
-            ss = taken ** 2 * gnorm2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bb = np.where(sy > 0, ss / sy, step * 4.0)
-            step = np.where(accepted, np.clip(bb, 1e-8, 1e8), step)
-            grad = new_grad
+        jt = np.swapaxes(jac[idx], 1, 2)
+        normal = jt @ jac[idx] + damping[idx, None, None] * eye
+        step = np.linalg.solve(normal, -(jt @ r[idx, :, None]))[..., 0]
+        cand = alpha[idx] + step
+        cand_r, cand_jac = _residual_terms(cand, amp, partners, anchor)
+        cand_value = np.sum(cand_r ** 2, axis=1)
+        ok = cand_value < value[idx]
+        kept = idx[ok]
+        alpha[kept], value[kept] = cand[ok], cand_value[ok]
+        r[kept], jac[kept] = cand_r[ok], cand_jac[ok]
+        damping[idx] = np.maximum(
+            damping[idx] * np.where(ok, DAMPING_SHRINK, DAMPING_GROW), DAMPING_FLOOR)
     return alpha, value
 
 
@@ -330,7 +325,7 @@ class StateReconstructor:
     """
 
     def __init__(self, reference=None, restarts=32, tol=1e-10,
-                 stop_tol=1e-20, max_iter=500, seed=0):
+                 stop_tol=None, max_iter=500, seed=0):
         self.reference = reference
         self.restarts = restarts
         self.tol = tol

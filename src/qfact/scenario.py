@@ -171,19 +171,32 @@ def _complex(v) -> complex:
 _object = _instance(dict, "an object")
 _string = _instance(str, "a string")
 _flag = _instance(bool, "true or false")
+_any = _instance(object, "any value")
 _names, _reals = _list_of(_string), _list_of(_real)
 _complex_vector = _list_of(_complex)
 _complex_matrix = _list_of(_complex_vector)
 
 
 def _fields(doc, /, **readers) -> dict:
-    """The fields of the object ``doc`` that ``readers`` names, each through
-    its reader; a field left out keeps the default of the config built."""
+    """The fields of the object ``doc``, each through its reader in ``readers``;
+    a field left out keeps the config's default, one with no reader is an error."""
     doc, out = _object(doc), {}
+    unknown = [key for key in doc if key not in readers]
+    if unknown:
+        raise ValueError(f"unknown field {', '.join(map(repr, unknown))}")
     for key in [key for key in readers if key in doc]:
         with _reading(key):
             out[key] = readers[key](doc[key])
     return out
+
+
+def _record(**readers):
+    """Reader of an object with exactly the fields ``readers`` names, all
+    required, as the tuple of their values in that order."""
+    def read(doc) -> tuple:
+        doc = _fields(doc, **readers)
+        return tuple(doc[key] for key in readers)
+    return read
 
 
 def _observable_name(scn: Scenario):
@@ -200,22 +213,23 @@ def _table(build):
 def _transforms(doc, scn: Scenario) -> dict:
     out = {}
     for e in reversed(_list_of(_object)(doc)):  # the first declared wins
-        src, tgt = _string(e["source"]), _string(e["target"])
+        e = _fields(e, source=_string, target=_string, entries=_complex_matrix)
+        src, tgt = e["source"], e["target"]
         out[src, tgt] = scn.transform(src, tgt) if "entries" not in e else \
-            TransformMatrix(src, tgt, np.array(_complex_matrix(e["entries"])))
+            TransformMatrix(src, tgt, e["entries"])
     return out
 
 
 def _stability(doc, scn: Scenario):
-    if "law" in _object(doc):
-        return finprob.from_json_dict(_object(doc["law"]))
+    doc = _fields(doc, law=_object, law_json=_string, sampling=_object)
+    if "law" in doc:
+        return finprob.from_json_dict(doc["law"])
     if "law_json" in doc:
-        return finprob.from_json(Path(_string(doc["law_json"])).read_text())
+        return finprob.from_json(Path(doc["law_json"]).read_text())
     if "sampling" in doc:
         return SamplingPlan(**_fields(
             doc["sampling"], labels=_names, block_size=_integer, epsilon=_real,
-            delta=_real, segments=_list_of(
-                lambda s: (_reals(_object(s)["probs"]), _integer(s["blocks"])))))
+            delta=_real, segments=_list_of(_record(probs=_reals, blocks=_integer))))
     raise ValueError("needs 'law', 'law_json' or 'sampling'")
 
 
@@ -236,43 +250,51 @@ def _exp(doc, scn: Scenario) -> dbb.ExpConfig:
         elastic_interactions_per_trial=_integer, z_periods=_integer))
 
 
+# the fields of each recipe kind besides ``kind``, ``id`` and ``attachment``
+_RECIPE_FIELDS = {
+    "simple": dict(state=_string),
+    "composed": dict(weights=_complex_vector, components=_list_of(_object)),
+    "evolved": dict(base=_object, hamiltonian=_string, dt=_real),
+    "multisystem": dict(state=_string, factor_dims=_list_of(_integer),
+                        factor_labels=_names),
+}
+
+
 def _recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
-    kind, rid = _object(doc)["kind"], _string(doc.get("id", where))
-    attachment = doc.get("attachment")
+    kind = _object(doc).get("kind")  # unknown: a KeyError naming it
+    doc = _fields(doc, kind=_string, id=_string, attachment=_any,
+                  **_RECIPE_FIELDS[kind])
+    rid, attachment = doc.get("id", where), doc.get("attachment")
     if attachment is not None:  # a dbb wave
         attachment = scn.section({"two_wave": "dbb.two_wave",
                                   "plane_waves": "dbb.plane_waves"}[attachment])
     if kind in ("simple", "multisystem"):
-        state = scn.section("states")[_string(doc["state"])]
+        state = scn.section("states")[doc["state"]]
     if kind == "simple":
         return Simple(rid, state=state, attachment=attachment)
     if kind == "composed":
         comps = tuple(_recipe(c, scn, f"{where}.components[{i}]")
-                      for i, c in enumerate(_list_of(_object)(doc["components"])))
-        return Composed(rid, weights=_complex_vector(doc["weights"]), components=comps,
+                      for i, c in enumerate(doc["components"]))
+        return Composed(rid, weights=doc["weights"], components=comps,
                         attachment=attachment)
     if kind == "evolved":
-        ham = scn.section("hamiltonians")[_string(doc["hamiltonian"])]
+        ham = scn.section("hamiltonians")[doc["hamiltonian"]]
         return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
-                       hamiltonian=ham, attachment=attachment, **_fields(doc, dt=_real))
-    if kind == "multisystem":
-        dims = _list_of(_integer)(doc["factor_dims"])
-        labels = (_names(doc["factor_labels"]) if "factor_labels" in doc
-                  else tuple(f"S{i+1}" for i in range(len(dims))))
-        return MultiSystem(rid, joint_state=state, factor_dims=dims,
-                           factor_labels=labels, attachment=attachment)
-    raise ValueError(f"unknown recipe kind {kind!r} in {where}")
+                       hamiltonian=ham, attachment=attachment,
+                       dt=doc.get("dt", Evolved.dt))
+    dims = doc["factor_dims"]
+    labels = doc.get("factor_labels", tuple(f"S{i+1}" for i in range(len(dims))))
+    return MultiSystem(rid, joint_state=state, factor_dims=dims,
+                       factor_labels=labels, attachment=attachment)
 
 
 # built in this order: a section may use the ones above it
 _SECTIONS = {
-    "states": _table(lambda _, vec: OracleState(np.array(_complex_vector(vec)))),
-    "observables": _table(lambda name, doc: ObservableSpec(
-        name, np.array(_reals(_object(doc)["eigenvalues"])),
-        np.array(_complex_matrix(doc["eigenbasis"])))),
-    "hamiltonians": _table(lambda name, doc: HamiltonianSpec(
-        np.array(_complex_matrix(_object(doc)["matrix"])),
-        **_fields(doc, hbar=_real))),
+    "states": _table(lambda _, vec: OracleState(_complex_vector(vec))),
+    "observables": _table(lambda name, doc: ObservableSpec(name, **_fields(
+        doc, eigenvalues=_reals, eigenbasis=_complex_matrix))),
+    "hamiltonians": _table(lambda name, doc: HamiltonianSpec(**_fields(
+        doc, matrix=_complex_matrix, hbar=_real))),
     "transforms": _transforms,
     "measurement": lambda doc, scn: MeasurementPlan(**_fields(
         doc, observables=_list_of(_observable_name(scn)), n=_integer, epsilon=_real,
@@ -286,7 +308,7 @@ _SECTIONS = {
     "dbb.exp": _exp,
     "dbb.plane_waves": lambda doc, scn: dbb.PlaneWaveSum(**_fields(
         doc, box=_real, hbar=_real, components=_list_of(
-            lambda c: (_complex(_object(c)["weight"]), _reals(c["momentum"]))))),
+            _record(weight=_complex, momentum=_reals)))),
     "dbb.borncheck": lambda doc, scn: BornCheckPlan(
         **_fields(doc, n_samples=_integer, bins=_integer)),
     "generation": _recipe,
@@ -295,16 +317,18 @@ _SECTIONS = {
 
 def load_scenario(text: str, seed_override: int | None = None) -> Scenario:
     """Parse and validate a scenario document into its configs."""
+    dbb_sections = {name[4:]: _any for name in _SECTIONS if name[:4] == "dbb."}
     with _reading("scenario"):
-        raw = _object(json.loads(text))
+        raw = _fields(json.loads(text), seed=_any, output_dir=_string,
+                      dbb=lambda doc: _fields(doc, **dbb_sections),
+                      **{name: _any for name in _SECTIONS if "." not in name})
     with _reading("seed"):
         seed = _integer(raw["seed"]) if seed_override is None else int(seed_override)
         _expect(seed, seed >= 0, "a non-negative integer")
-    scn = Scenario(seed, **_fields(raw, output_dir=_string))
-    with _reading("dbb"):
-        # dbb.borncheck may be left out: all its fields have defaults
-        docs = {**raw, "dbb.borncheck": {}, **{
-            f"dbb.{key}": doc for key, doc in _object(raw.get("dbb", {})).items()}}
+    scn = Scenario(seed, raw.get("output_dir", Scenario.output_dir))
+    # dbb.borncheck may be left out: all its fields have defaults
+    docs = {**raw, "dbb.borncheck": {}, **{
+        f"dbb.{key}": doc for key, doc in raw.get("dbb", {}).items()}}
     for name, build in _SECTIONS.items():
         if docs.get(name) is not None:
             with _reading(name):

@@ -9,6 +9,7 @@ import pytest
 
 from qfact import cli, finprob, scenario
 from qfact.errors import ScenarioError
+from qfact.genesis import Composed, Evolved, MultiSystem, Simple
 
 RT2 = 1 / math.sqrt(2)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,6 +73,30 @@ def test_scenario_requires_seed():
     assert scn.seed == 5
     with pytest.raises(ScenarioError):
         scenario.load_scenario("{}", seed_override=-1)
+
+
+def test_scenario_recipe_kinds():
+    bell = [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]
+    doc = {**TWO_LEVEL, "seed": 1, "states": {**TWO_LEVEL["states"], "bell": bell},
+           "hamiltonians": {"H": {"matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                             [[1.0, 0.0], [0.0, 0.0]]]}},
+           "generation": {"kind": "composed", "id": "G", "weights": [[1, 0], [0, 1]],
+                          "components": [
+                              {"kind": "simple", "state": "psi"},
+                              {"kind": "evolved", "hamiltonian": "H", "dt": 0.5,
+                               "base": {"kind": "simple", "state": "psi"}}]}}
+    scn = scenario.load_scenario(json.dumps(doc))
+    psi, ham = scn.section("states")["psi"], scn.section("hamiltonians")["H"]
+    assert scn.section("generation") == Composed(
+        "G", weights=(1, 1j), components=(
+            Simple("generation.components[0]", state=psi),
+            Evolved("generation.components[1]", hamiltonian=ham, dt=0.5,
+                    base=Simple("generation.components[1].base", state=psi))))
+    doc["generation"] = {"kind": "multisystem", "state": "bell", "factor_dims": [2, 2]}
+    scn = scenario.load_scenario(json.dumps(doc))
+    assert scn.section("generation") == MultiSystem(
+        "generation", joint_state=scn.section("states")["bell"], factor_dims=(2, 2),
+        factor_labels=("S1", "S2"))
 
 
 def test_missing_scenario_file_exit_code_2(tmp_path, capsys):
@@ -142,10 +167,13 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("tree", "tree_two_level", ("seed",), "x"),
     ("stability", "stability_drift", ("seed",), True),
     ("exp", "trace_experiment", ("dbb", "plane_waves", "box"), "x"),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_sampels"), 5),
+    ("tree", "tree_two_level", ("reconstrution",), {"reference": "A"}),
 ], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
         "n_type", "segment_type", "n_samples_type", "sampling_type",
         "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
-        "v12_underflow", "m0_underflow", "seed_type", "seed_bool", "unused_section"])
+        "v12_underflow", "m0_underflow", "seed_type", "seed_bool", "unused_section",
+        "misspelt_field", "misspelt_section"])
 def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
     # a shipped scenario with one field set to ``value`` (None: deleted);
@@ -166,6 +194,37 @@ def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
     assert code == 2
     assert "scenario error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,name,path,value", [
+    ("tree", "tree_two_level", ("measurment",), {}),
+    ("tree", "tree_two_level", ("generation", "stat"), "psi"),
+    ("tree", "tree_two_level", ("observables", "A", "eigenbasiss"), []),
+    ("stability", "stability_drift", ("stability", "samplng"), {}),
+    ("stability", "stability_drift", SEGMENT + ("block",), 5),
+    ("reconstruct", "reconstruct_two_level", ("transforms",),
+     [{"source": "A", "target": "B", "entry": []}]),
+    ("exp", "trace_experiment", ("dbb", "two_wav"), {}),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "bin"), 5),
+    ("borncheck", "trace_experiment",
+     ("dbb", "plane_waves", "components", 0, "phase"), 0.0),
+])
+def test_unknown_field_named_exit_code_2(tmp_path, capsys, command, name,
+                                         path, value):
+    # a misspelt key is an error naming it, not a default taken silently
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    *outer, key = path
+    section = doc
+    for part in outer:
+        section = section[part]
+    section[key] = value
+    code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    unknown = "entry" if key == "transforms" else key
+    assert code == 2
+    assert err.startswith("scenario error:")
+    assert f"unknown field {unknown!r}" in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -416,9 +475,9 @@ SHIPPED_CHECKSUMS = {
         "stability_verdict.json": "1a3144bcfbfe866c11584fd4b5af458f2ef5f1c0d8dbc594eec7d8ab97f9ed02",
     },
     ("reconstruct", "reconstruct_two_level"): {
-        "expansion.json": "35f534be8e9796ac8e366b641a1892b4e6ac268ad2db08b8597c31ad8a3e7d75",
-        "predicted_B.json": "8ea8412c4c352cc7edcff1ec5c58a27ca7c29d752f6ddd0813726b497c79318b",
-        "retrieval_report.json": "5499a1a6f048da11ea8e9b00fd0364b5a639566e48a0a31257c26417b59906cf",
+        "expansion.json": "7d9d5f66b3e2e078f243ea582eb01ea8bdaa41b353f16fb0fba4b2ac19c9018f",
+        "predicted_B.json": "ad8f70713188f9c9baa11156a6fad4bf2c192f7242107c90d26c925af040c765",
+        "retrieval_report.json": "7809c52b072f5cc6c93a031ea6ed2b586c4143c929c812dce239540d5b2034e7",
     },
     ("exp", "trace_experiment"): {
         "exp_direction_hist.csv": "341d974025a315ecb20074add0d535e151b2b12e30beac1fa03e29b3be50836a",
