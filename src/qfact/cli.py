@@ -2,8 +2,8 @@
 
 One scenario file drives one command; every run writes its artifacts plus a
 manifest with per-output checksums.  All randomness is counter-based off the
-scenario seed, so re-running with any worker count reproduces identical
-bytes.
+scenario seed, so a re-run reproduces identical bytes; ``--workers`` is
+accepted and ignored.
 
 Commands: stability | tree | reconstruct | exp | borncheck
 """
@@ -19,15 +19,13 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import dbb, finprob, scenario
 from .errors import QfactError, ScenarioError
 from .genesis import resolve_state, run_successions
 from .hilbert import born_law
 from .probtree import build_tree
 from .reconstruct import RetrievalConfig, StateReconstructor, predict_heldout
-from .seeding import trial_generator
+from .seeding import block_table
 
 
 def _json_text(doc) -> str:
@@ -67,14 +65,14 @@ def _verdict_doc(law, verdict) -> dict:
 # commands: each returns {filename: text}
 # --------------------------------------------------------------------------
 
-def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
+def cmd_stability(scn: scenario.Scenario) -> dict[str, str]:
     law = scn.section("stability")
     if isinstance(law, scenario.SamplingPlan):
-        probs = [p for p, n_blocks in law.segments for _ in range(n_blocks)]
-        table = np.array([trial_generator(scn.seed, b).multinomial(law.block_size, p)
-                          for b, p in enumerate(probs)], dtype=np.int64)
-        law = finprob.FactualLaw(law.labels, table.reshape(len(probs), len(law.labels)),
-                                 law.block_size, law.epsilon, law.delta)
+        probs = law.block_probs()
+        table = block_table(scn.seed, 0, probs, len(probs) * law.block_size,
+                            law.block_size)
+        law = finprob.FactualLaw(law.labels, table, law.block_size,
+                                 law.epsilon, law.delta)
     verdict = finprob.check_convergence(law)
     return {
         "stability_verdict.json": _json_text(_verdict_doc(law, verdict)),
@@ -82,11 +80,11 @@ def cmd_stability(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def cmd_tree(scn: scenario.Scenario, workers: int) -> dict[str, str]:
+def cmd_tree(scn: scenario.Scenario) -> dict[str, str]:
     plan, recipe = scn.section("measurement"), scn.section("generation")
     tree = build_tree(recipe, [scn.observable(o) for o in plan.observables], plan.n,
                       plan.epsilon, plan.delta, plan.block_size, scn.seed,
-                      guided=plan.guided, workers=workers)
+                      guided=plan.guided)
 
     outputs: dict[str, str] = {}
     verdicts: dict[str, dict] = {}
@@ -108,7 +106,7 @@ def cmd_tree(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     return outputs
 
 
-def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
+def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
     plan, recipe = scn.section("reconstruction"), scn.section("generation")
     names = [plan.reference, *plan.partners]
     if plan.source == "exact":
@@ -120,7 +118,7 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
         n = meas.n if plan.n is None else plan.n
         laws = {name: run_successions(
             recipe, scn.observable(name), n, meas.epsilon, meas.delta,
-            meas.block_size, scn.seed, trial_offset=idx * n, workers=workers)
+            meas.block_size, scn.seed, trial_offset=idx * n)
             for idx, name in enumerate(names)}
         cfg = RetrievalConfig.for_sampled_laws(
             n, sum(scn.observable(p).dim for p in plan.partners))
@@ -150,7 +148,7 @@ def cmd_reconstruct(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     return outputs
 
 
-def cmd_exp(scn: scenario.Scenario, workers: int) -> dict[str, str]:
+def cmd_exp(scn: scenario.Scenario) -> dict[str, str]:
     summary = dbb.simulate_exp(scn.section("dbb.two_wave"),
                                scn.section("dbb.exp"), scn.seed)
     p1, p2 = summary.reference_spectrum
@@ -177,7 +175,7 @@ def cmd_exp(scn: scenario.Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def cmd_borncheck(scn: scenario.Scenario, workers: int) -> dict[str, str]:
+def cmd_borncheck(scn: scenario.Scenario) -> dict[str, str]:
     plan = scn.section("dbb.borncheck")
     rec = dbb.extended_born_check(scn.section("dbb.plane_waves"),
                                   plan.n_samples, scn.seed, bins=plan.bins)
@@ -208,10 +206,10 @@ COMMANDS = {
 
 def run_command(command: str, scenario_path: str, seed: int | None = None,
                 out: str | None = None, workers: int = 1) -> Path:
-    """Execute one pipeline; returns the output directory."""
+    """Execute one pipeline; returns the output directory (``workers`` is ignored)."""
     started = time.perf_counter()
     scn = scenario.load_scenario_file(scenario_path, seed)
-    outputs = COMMANDS[command](scn, max(1, workers))
+    outputs = COMMANDS[command](scn)
 
     out_dir = Path(out) if out is not None else Path(scn.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="ignored")
     args = parser.parse_args(argv)
     try:
         out_dir = run_command(args.command, args.scenario, args.seed,

@@ -223,6 +223,10 @@ def from_csv(text: str) -> FactualLaw:
     return FactualLaw.from_block_counts(spectrum, blocks, eps, delta, n0)
 
 
+JSON_KEYS = ("spectrum", "counts", "n_total", "block_size_n0", "epsilon", "delta",
+             "block_history")
+
+
 def to_json_dict(law: FactualLaw) -> dict:
     return {
         "spectrum": list(law.spectrum),
@@ -237,8 +241,10 @@ def to_json_dict(law: FactualLaw) -> dict:
 
 
 def from_json_dict(doc: dict) -> FactualLaw:
-    """Read :func:`to_json_dict`'s layout; the declared ``counts`` and
-    ``n_total`` must equal the sums of the block table."""
+    """Read :func:`to_json_dict`'s layout, and no other key; the declared
+    ``counts`` and ``n_total`` must equal the sums of the block table."""
+    if unknown := [key for key in doc if key not in JSON_KEYS]:
+        raise ValueError(f"unknown law key {', '.join(map(repr, unknown))}")
     law = FactualLaw.from_block_counts(
         doc["spectrum"], [dict(b) for b in doc["block_history"]],
         float(doc["epsilon"]), float(doc["delta"]), int(doc["block_size_n0"]))

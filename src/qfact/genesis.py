@@ -3,15 +3,13 @@
 A generation recipe produces one specimen per realization; measuring the
 specimen codes its registered marks into one eigenvalue and destroys it,
 so every coded outcome costs a whole generate-then-measure succession.
-Batched runners reproduce the per-trial behaviour with counter-based
-randomness so results are independent of worker scheduling.
+Batched runners draw each block of successions as one multinomial row of
+counter-keyed randomness, so a law depends only on its seed and stream.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
 from math import prod
 
 import numpy as np
@@ -32,10 +30,8 @@ from .hilbert import (
     sample_outcome,
     sample_outcomes_from_uniforms,
 )
-from .seeding import counter_uniforms, stream_seed
+from .seeding import block_table, stream_seed
 from .validation import check_rng
-
-CHUNK_TRIALS = 250_000  # trials per partial law, rounded to a block multiple
 
 
 @dataclass(frozen=True)
@@ -218,41 +214,21 @@ def time_of_flight(x_n, t_n: float, t0: float, m: float, origin=None
 
 def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
                     eps: float, delta: float, n0: int, rng,
-                    trial_offset: int = 0, workers: int = 1
-                    ) -> finprob.FactualLaw:
+                    trial_offset: int = 0) -> finprob.FactualLaw:
     """Accumulate n independent generate-then-measure successions.
 
-    The hidden state is fixed by the recipe, so trial i's outcome is one
-    inverse-CDF draw from its Born law against the counter uniform keyed
-    by (seed, trial_offset + i), which reproduces the per-trial succession
-    exactly in distribution.  ``rng`` takes an integer seed or a numpy
-    Generator; a Generator only supplies the seed of the counter streams.
-
-    Trials are drawn in chunks of CHUNK_TRIALS rounded to a multiple of n0,
-    built on up to ``workers`` threads and merged in order.  Chunk bounds
-    depend only on n and n0, so the law is the same for any worker count,
-    and partial laws built from disjoint trial ranges merge into it.
+    The hidden state is fixed by the recipe, so a block's outcome counts
+    are one multinomial draw of n0 trials from its Born law: exactly the
+    distribution of the per-trial successions.  The block table comes from
+    :func:`seeding.block_table` keyed by (seed, trial_offset); give each law
+    built from one seed its own offset.  ``rng`` takes an integer seed or a
+    numpy Generator, which only supplies the seed.
     """
     if n < 1:
         raise ValueError("need at least one succession")
-    seed = stream_seed(rng)
     law_vec = born_law(resolve_state(g), obs)
-    empty = finprob.FactualLaw.empty(obs.labels(), eps, delta, n0)
-    chunk = n0 * max(1, CHUNK_TRIALS // n0)
-
-    def build(start: int) -> finprob.FactualLaw:
-        ids = np.arange(trial_offset + start,
-                        trial_offset + min(start + chunk, n))
-        idx = sample_outcomes_from_uniforms(law_vec, counter_uniforms(seed, ids))
-        return finprob.accumulate_indices(empty, idx)
-
-    starts = range(0, n, chunk)
-    if workers <= 1 or len(starts) == 1:
-        partials = [build(start) for start in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(build, starts))
-    return reduce(finprob.merge, partials)
+    table = block_table(stream_seed(rng), trial_offset, law_vec, n, n0)
+    return finprob.FactualLaw(obs.labels(), table, n0, eps, delta)
 
 
 def run_complete_successions(g: MultiSystem, obs_list, n: int,
@@ -261,21 +237,19 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
                              ) -> tuple[finprob.FactualLaw, list[finprob.FactualLaw]]:
     """Batched complete measurements on a multi-system recipe.
 
-    Returns the joint law over flattened outcome tuples plus one marginal
-    law per factor, all built from the same succession stream.  ``rng``
-    takes an integer seed or a Generator, as in :func:`run_successions`.
+    Returns the joint law over flattened outcome tuples, drawn like
+    :func:`run_successions` from the joint Born law, plus one marginal law
+    per factor summed from the joint block table.  ``rng`` takes an integer
+    seed or a Generator, as in :func:`run_successions`.
     """
     if n < 1:
         raise ValueError("need at least one succession")
     joint_law, dims = _joint_law(resolve_state(g), obs_list)
-    uniforms = counter_uniforms(stream_seed(rng),
-                                np.arange(trial_offset, trial_offset + n))
-    flat = sample_outcomes_from_uniforms(joint_law, uniforms)
-
     joint_name = "*".join(o.name for o in obs_list)
-    joint_labels = [f"{joint_name}:{k}" for k in range(prod(dims))]
-    joint = finprob.accumulate_indices(
-        finprob.FactualLaw.empty(joint_labels, eps, delta, n0), flat)
+    joint = finprob.FactualLaw(
+        [f"{joint_name}:{k}" for k in range(prod(dims))],
+        block_table(stream_seed(rng), trial_offset, joint_law, n, n0),
+        n0, eps, delta)
     # factor i's block table: the joint table summed over the other factors
     per_factor = joint.blocks.reshape(-1, *dims)
     marginals = [

@@ -78,16 +78,15 @@ def partition_branches(observables: list[ObservableSpec]
 
 
 def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
-               eps: float, delta: float, n0: int, rng, guided: bool = False,
-               workers: int = 1) -> ProbabilityTree:
+               eps: float, delta: float, n0: int, rng, guided: bool = False
+               ) -> ProbabilityTree:
     """One factual law per observable via repeated successions, grouped into
     branches.  Guided-coding scenarios read every quantity off one trace, so
     the tree degenerates to a single trunk regardless of commutation.
 
     ``rng`` takes an integer seed or a numpy Generator, which only supplies
-    the seed.  Observable k draws trials k*n .. (k+1)*n - 1 of the counter
-    streams, built on up to ``workers`` threads, so the tree is the same
-    under any parallel schedule.
+    the seed.  Observable k's law is drawn from stream k*n of that seed
+    (see :func:`genesis.run_successions`), so each observable has its own.
     """
     if guided:
         groups = [CompatibilityGroup(tuple(o.name for o in observables))]
@@ -95,7 +94,7 @@ def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
         groups = partition_branches(observables)
     seed = stream_seed(rng)
     laws = {obs.name: run_successions(g, obs, n, eps, delta, n0, seed,
-                                      trial_offset=k * n, workers=workers)
+                                      trial_offset=k * n)
             for k, obs in enumerate(observables)}
     branches = [(grp, {name: laws[name] for name in grp.members})
                 for grp in groups]

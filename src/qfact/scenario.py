@@ -68,6 +68,11 @@ class SamplingPlan:
             segments.append((probs / probs.sum(), blocks))
         object.__setattr__(self, "segments", tuple(segments))
 
+    def block_probs(self) -> np.ndarray:
+        """Each block's probability row, segment after segment: (n_blocks, n_labels)."""
+        probs = np.reshape([p for p, _ in self.segments], (-1, len(self.labels)))
+        return np.repeat(probs, [b for _, b in self.segments], axis=0)
+
 
 @dataclass(frozen=True)
 class ReconstructionPlan:

@@ -1,9 +1,9 @@
 """Counter-based random numbers for schedule-independent Monte Carlo.
 
 Every trial draws from a stream addressed by (seed, trial_id, draw_index),
-so a batch of trials produces the same numbers no matter how it is split
-across workers.  The mixer is the splitmix64 finalizer, applied to the
-three coordinates; it vectorizes over trial ids.
+and a law's block table from one stream addressed by (seed, stream), so the
+numbers never depend on how the work is split.  The mixer is the splitmix64
+finalizer, applied to the three coordinates; it vectorizes over trial ids.
 """
 
 from __future__ import annotations
@@ -62,3 +62,20 @@ def trial_generator(seed: int, trial_id: int) -> np.random.Generator:
     """Full numpy Generator for one trial's private stream."""
     root = int(counter_uint64(seed, [trial_id]).item())
     return np.random.default_rng(root)
+
+
+def block_table(seed: int, stream: int, probs, n: int, n0: int) -> np.ndarray:
+    """The ``(ceil(n / n0), d)`` block table of n trials: one multinomial row
+    per block, of n0 trials except a trailing row of n mod n0, all from the
+    one Generator ``trial_generator(seed, stream)``.  ``probs`` is one row of
+    d probabilities, or one row per block; rows are normalized."""
+    if n < 0 or n0 < 1:
+        raise ValueError("need n >= 0 trials and a block size n0 >= 1")
+    sizes = np.full(-(-n // n0), n0, dtype=np.int64)
+    if n % n0:
+        sizes[-1] = n % n0
+    # a validated state and eigenbasis give a Born law summing to 1 only
+    # within about 1e-10, and multinomial rejects a sum above 1 + 1e-12
+    p = np.asarray(probs, dtype=float)
+    return trial_generator(seed, stream).multinomial(
+        sizes, p / p.sum(axis=-1, keepdims=True))

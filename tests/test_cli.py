@@ -250,6 +250,36 @@ def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("inline", [True, False], ids=["law", "law_json"])
+def test_stability_law_unknown_key_named_exit_code_2(tmp_path, capsys, inline):
+    # a misspelt law key is an error naming it, not epsilon's default
+    law = dict(identical_blocks_doc()["stability"]["law"], epsilonn=0.5)
+    if inline:
+        doc = {"seed": 1, "stability": {"law": law}}
+    else:
+        (tmp_path / "law.json").write_text(json.dumps(law))
+        doc = {"seed": 1, "stability": {"law_json": str(tmp_path / "law.json")}}
+    code = cli.main(["stability", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error:")
+    assert "unknown law key 'epsilonn'" in err
+
+
+@pytest.mark.parametrize("segments", [[{"probs": [0.5, 0.5], "blocks": 0}], []],
+                         ids=["zero_blocks", "no_segments"])
+def test_stability_sampling_without_blocks_exit_code_1(tmp_path, capsys, segments):
+    # an empty block table is a law too small to judge, not a crash
+    doc = json.loads((SCENARIOS / "stability_fair_coin.json").read_text())
+    doc["stability"]["sampling"]["segments"] = segments
+    code = cli.main(["stability", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: need at least 2 complete blocks, have 0")
+
+
 def test_stability_unknown_block_label_exit_code_1(tmp_path, capsys):
     doc = identical_blocks_doc()
     doc["stability"]["law"]["block_history"][0] = {"a1": 3, "zz": 1}
@@ -461,18 +491,18 @@ def test_rerun_reproduces_checksums(tmp_path):
 # numpy 2.4 on x86-64; a refactor that keeps the algorithms keeps these bytes
 SHIPPED_CHECKSUMS = {
     ("tree", "tree_two_level"): {
-        "law_A.csv": "f95aa876dbe2bff9c7e9bf97026ebb58824edd488991182281e164056d43c9f5",
-        "law_B.csv": "f4692c35ef60af2df787a4c73c3a98950539a3477a13f9fcbbb2f0bc7f0be1bd",
-        "law_C.csv": "a4bf0c7a4ac601156ad1d8a5577118c05454bfcba90fbd390ed1bce8c1cf4c05",
-        "tree.json": "f0cfc79e50ad9745e34cdc3a8b1ca64a510157163f31280bd90c2804ee3ad0c3",
+        "law_A.csv": "98246f3aa9c171a60cd2c2a07ddadf87e843937da2231826b4e746ee2209adb9",
+        "law_B.csv": "b7aa9200b7795c751b396501deca916432779a8164b4bdf4a45c8ee2829c386c",
+        "law_C.csv": "ccc2deaf0234e1743c4e91f5802b70d3e3925e060a6ff209da13473fab0ccdec",
+        "tree.json": "0c7fccd3325c738bbbd383c7b132813ab06de8dfeee2493bdf1b77087f09000a",
     },
     ("stability", "stability_drift"): {
-        "law.csv": "92ceef4ca0d7e2b9a1964770ce6168883d780fd2f44817436ed1bbe913c90f41",
-        "stability_verdict.json": "932bbdfef48445ac4b1fb52c34b25ee83ca73dbb648ff51a04fc337453fe5849",
+        "law.csv": "1f093b4bb4ef6db119d17898e40a6d1c6723e6298a2e774f2adfea5b0dc26775",
+        "stability_verdict.json": "d13e715674c64d31d7d535ec3fc3c7074bd5ab3b1b4f46d4408f9460eb529aef",
     },
     ("stability", "stability_fair_coin"): {
-        "law.csv": "84e46ff619a04a1774d0ab25c677bea73b09c02545e555c7771ba2248a40b19d",
-        "stability_verdict.json": "1a3144bcfbfe866c11584fd4b5af458f2ef5f1c0d8dbc594eec7d8ab97f9ed02",
+        "law.csv": "4dd5d3757b1aa67e21dc58ee202acae3fcdb7aa9a6f6707ce037fd55bd691e9b",
+        "stability_verdict.json": "2137cec70cc4867f2e2c803b371cb4ee187508113c9d5e67b82256b927d746f9",
     },
     ("reconstruct", "reconstruct_two_level"): {
         "expansion.json": "7d9d5f66b3e2e078f243ea582eb01ea8bdaa41b353f16fb0fba4b2ac19c9018f",

@@ -271,3 +271,5 @@ def test_json_declared_totals_must_match_block_table():
     with pytest.raises(UnknownLabelError):
         finprob.from_json_dict(dict(doc, block_history=[{"a1": 2, "zz": 1},
                                                         {"a2": 2}]))
+    with pytest.raises(ValueError, match="unknown law key 'epsilonn'"):
+        finprob.from_json_dict(dict(doc, epsilonn=0.5))

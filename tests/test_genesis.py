@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from qfact import dbb, finprob, hilbert
 from qfact.errors import DestroyedSpecimenError, GuidedCodingUnavailableError
@@ -18,6 +21,7 @@ from qfact.genesis import (
     time_of_flight,
 )
 from qfact.hilbert import OracleState, born_law, compose_superposition, random_observable, random_state
+from qfact.seeding import block_table
 
 
 def two_wave_fixture():
@@ -184,6 +188,15 @@ def test_run_successions_fair_two_outcome_stable():
     assert finprob.check_convergence(law).stable
 
 
+def test_run_successions_tolerates_born_law_rounding():
+    # an eigenbasis inside the unitarity tolerance: the Born law sums to 1 + 8e-11
+    obs = hilbert.ObservableSpec("A", np.array([0.0, 1.0]),
+                                 np.eye(2, dtype=complex) * (1 + 4e-11))
+    psi = OracleState(np.array([1.0, 0.0]))
+    law = run_successions(Simple("G", state=psi), obs, 100, 0.02, 0.05, 10, 5)
+    assert law.counts == {"A:0": 100, "A:1": 0}
+
+
 def test_run_successions_rejects_zero_trials(rng):
     obs = random_observable("A", 2, rng)
     with pytest.raises(ValueError):
@@ -191,23 +204,64 @@ def test_run_successions_rejects_zero_trials(rng):
                         0.02, 0.05, 10, 1)
 
 
-def test_run_successions_partition_independent():
-    # counter-based streams: any split of the trial range merges identically
+def test_run_successions_keyed_by_seed_and_offset():
+    # a law depends only on (seed, trial_offset): each offset is its own stream
     psi = OracleState(np.array([0.6, 0.8]))
     obs = hilbert.basis_observable("X", 2)
-    whole = run_successions(Simple("G", state=psi), obs, 5_000,
-                            0.02, 0.05, 1_000, 99)
-    parts = [run_successions(Simple("G", state=psi), obs, size,
-                             0.02, 0.05, 1_000, 99, trial_offset=off)
-             for off, size in ((0, 1_500), (1_500, 2_000), (3_500, 1_500))]
-    merged = finprob.merge(finprob.merge(parts[0], parts[1]), parts[2])
-    assert merged.counts == whole.counts
-    # splits on multiples of n0 keep the block boundaries too
-    parts = [run_successions(Simple("G", state=psi), obs, size,
-                             0.02, 0.05, 1_000, 99, trial_offset=off)
-             for off, size in ((0, 2_000), (2_000, 1_000), (3_000, 2_000))]
-    merged = finprob.merge(finprob.merge(parts[0], parts[1]), parts[2])
-    assert merged == whole
+
+    def law(seed, offset):
+        return run_successions(Simple("G", state=psi), obs, 5_000,
+                               0.02, 0.05, 1_000, seed, trial_offset=offset)
+
+    assert law(99, 0) == law(99, 0)
+    assert law(99, 5_000) == law(99, 5_000)
+    assert law(99, 5_000) != law(99, 0)
+    assert law(100, 0) != law(99, 0)
+
+
+# --- block_table ------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=5_000),
+       st.integers(min_value=1, max_value=600),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2 ** 63 - 1))
+def test_block_table_rows_hold_n0_then_the_remainder(n, n0, d, seed):
+    probs = np.random.default_rng(seed % 1000).dirichlet(np.ones(d))
+    table = block_table(seed, 7, probs, n, n0)
+    sizes = [n0] * (n // n0) + ([n % n0] if n % n0 else [])
+    assert table.shape == (len(sizes), d)
+    assert table.dtype == np.int64
+    assert table.sum(axis=1).tolist() == sizes
+    assert (table >= 0).all()
+
+
+def test_block_table_one_probability_row_per_block():
+    probs = np.repeat([[1.0, 0.0], [0.0, 1.0]], [3, 2], axis=0)
+    table = block_table(5, 0, probs, 5 * 10, 10)
+    assert table.tolist() == [[10, 0]] * 3 + [[0, 10]] * 2
+    assert block_table(5, 0, np.zeros((0, 2)), 0, 10).shape == (0, 2)
+
+
+def test_block_table_counts_follow_binomial_oracle():
+    # a label's count per block is Binomial(n0, p), and blocks are independent;
+    # both checks come from scipy, not from numpy's sampler
+    n0, p_label, n_blocks = 40, 0.3, 4_000
+    probs = np.array([p_label, 0.5, 0.2])
+    counts = block_table(2024, 3, probs, n_blocks * n0, n0)[:, 0]
+    pmf = stats.binom.pmf(np.arange(n0 + 1), n0, p_label)
+    # pool the tails so every bin expects at least 5 blocks
+    keep = np.flatnonzero(pmf * n_blocks >= 5)
+    lo, hi = keep[0], keep[-1]
+    observed = np.bincount(counts, minlength=n0 + 1)
+    obs_bins = np.concatenate([[observed[:lo + 1].sum()], observed[lo + 1:hi],
+                               [observed[hi:].sum()]])
+    exp_bins = n_blocks * np.concatenate([[pmf[:lo + 1].sum()], pmf[lo + 1:hi],
+                                          [pmf[hi:].sum()]])
+    chi2 = stats.chisquare(obs_bins, exp_bins * obs_bins.sum() / exp_bins.sum())
+    assert chi2.pvalue > 1e-3
+    adjacent = stats.pearsonr(counts[:-1], counts[1:])
+    assert adjacent.pvalue > 1e-3
 
 
 # --- multi-system complete measurements --------------------------------------
