@@ -1,8 +1,8 @@
 """Scenario-driven batch runner.
 
 One scenario file drives one command; every run writes its artifacts plus a
-manifest with per-output checksums.  All randomness is counter-based off the
-scenario seed, so a re-run reproduces identical bytes; ``--workers`` is
+manifest with per-output checksums.  All randomness comes from streams keyed
+by the scenario seed, so a re-run reproduces identical bytes; ``--workers`` is
 accepted and ignored.
 
 Commands: stability | tree | reconstruct | exp | borncheck

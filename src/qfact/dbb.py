@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeSingularityError
-from .seeding import counter_uniforms, stream_seed
+from .seeding import stream_seed, trial_generator
 
-_AUX_DRAW = 1_000_000  # counter draw indices below this serve rejection rounds
+_POSITIONS, _KICKS = 0, 1  # a run's streams: positions; ionization counts and kicks
+_MAX_BATCH = 1 << 16  # most candidates in one rejection round: bounds memory
 
 
 # --------------------------------------------------------------------------
@@ -112,9 +113,9 @@ class TwoWaveState:
     # genesis attachment protocol ------------------------------------------
 
     def sample_position(self, rng, n_periods: int = 8) -> np.ndarray:
-        z = _sample_fringe_counter(self, stream_seed(rng), np.arange(1),
-                                   n_periods)[0]
-        return np.array([0.0, 0.0, z])
+        """One point of the fringe density from the positions stream of ``rng``."""
+        gen = trial_generator(stream_seed(rng), _POSITIONS)
+        return np.array([0.0, 0.0, _sample_fringe(self, gen, 1, n_periods)[0]])
 
     def momentum_at(self, r, t) -> np.ndarray:
         return guided_momentum(self)
@@ -180,38 +181,33 @@ def trace_angles(kicks, spacings) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# fringe-position sampling
+# rejection sampling
 # --------------------------------------------------------------------------
 
-def _sample_fringe_counter(s: TwoWaveState, seed: int, trial_ids: np.ndarray,
-                           n_periods: int, draw_base: int = 0) -> np.ndarray:
-    """Draw z from the fringe density by rejection against its peak.  Trial
-    i consumes counter draws (draw_base + 2r, draw_base + 2r + 1) for
-    rounds r until acceptance."""
+def _rejection_sample(n: int, rate: float, propose) -> tuple[np.ndarray, ...]:
+    """The first n accepted candidates, in draw order: ``propose(m)`` draws m
+    candidates and returns the accepted ones as arrays over their last axis.
+    A round draws (missing + 3 sqrt(missing)) / rate candidates, at most
+    ``_MAX_BATCH``, so that one round usually covers what is missing."""
+    parts, missing = [], n
+    while missing > 0:
+        parts.append(propose(min(_MAX_BATCH, math.ceil(
+            (missing + 3.0 * math.sqrt(missing)) / rate))))
+        missing -= parts[-1][0].shape[-1]
+    return tuple(np.concatenate(arrays, axis=-1)[..., :n] for arrays in zip(*parts))
+
+
+def _sample_fringe(s: TwoWaveState, gen: np.random.Generator, n: int,
+                   n_periods: int) -> np.ndarray:
+    """n draws of z from the fringe density, by rejection against its peak
+    over a window of whole periods, where the acceptance rate is 1/2."""
     lo, hi = s.fringe_window(n_periods)
-    out = np.empty(trial_ids.size)
-    remaining = np.arange(trial_ids.size)
-    r = 0
-    while remaining.size:
-        ids = trial_ids[remaining]
-        z = lo + (hi - lo) * counter_uniforms(seed, ids, draw_base + 2 * r)
-        accept = counter_uniforms(seed, ids, draw_base + 2 * r + 1) \
-            <= fringe_density(s, z)
-        out[remaining[accept]] = z[accept]
-        remaining = remaining[~accept]
-        r += 1
-    return out
 
+    def propose(m):
+        z = gen.uniform(lo, hi, m)
+        return (np.compress(gen.random(m) <= fringe_density(s, z), z),)
 
-def _kick_draws(seed: int, trial_ids: np.ndarray, draw: int, law: str,
-                half_width: float) -> np.ndarray:
-    u = counter_uniforms(seed, trial_ids, draw)
-    if law == "uniform":
-        return half_width * (2.0 * u - 1.0)
-    # normal: Box-Muller against a companion draw
-    v = counter_uniforms(seed, trial_ids, draw + 500_000)
-    radius = np.sqrt(-2.0 * np.log(np.clip(u, 1e-300, None)))
-    return half_width * radius * np.cos(2.0 * np.pi * v)
+    return _rejection_sample(n, 0.5, propose)[0]
 
 
 # --------------------------------------------------------------------------
@@ -293,19 +289,20 @@ class ExpSummary:
 
 
 def _trial_draws(s: TwoWaveState, cfg: ExpConfig, seed: int,
-                 trial_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial draws of the experiment: the initial z from the fringe
-    density, and the total fringe displacement of one or two ionization
-    kicks (even odds) plus the configured elastic kicks."""
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The initial z of n trials from the fringe density, and the total
+    fringe displacement of one or two ionization kicks (even odds) plus the
+    configured elastic kicks, drawn one interaction at a time."""
     kappa = default_kappa(s) if cfg.kappa is None else cfg.kappa
-    n = trial_ids.size
-    z0 = _sample_fringe_counter(s, seed, trial_ids, cfg.z_periods)
-    n_ion = 1 + (counter_uniforms(seed, trial_ids, _AUX_DRAW) < 0.5).astype(int)
+    hw = cfg.kick_half_width
+    z0 = _sample_fringe(s, trial_generator(seed, _POSITIONS), n, cfg.z_periods)
+    gen = trial_generator(seed, _KICKS)
+    n_ion = gen.integers(1, 3, n)
     kick_total = np.zeros(n)
     for k in range(2 + cfg.elastic_interactions_per_trial):
-        dd = _kick_draws(seed, trial_ids, _AUX_DRAW + 1 + k, cfg.kick_law,
-                         cfg.kick_half_width)
-        applies = np.ones(n, dtype=bool) if k >= 2 else (k < n_ion)
+        dd = hw * (gen.uniform(-1.0, 1.0, n) if cfg.kick_law == "uniform"
+                   else gen.standard_normal(n))
+        applies = n_ion == 2 if k == 1 else True
         kick_total += np.where(applies, ionization_kick(dd, kappa), 0.0)
     return z0, kick_total
 
@@ -318,16 +315,15 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     configured elastic kicks), fly at the guided velocity to L2, register
     there, and estimate the momentum as M (r2 - r1)/(t2 - t1).
 
-    ``rng`` takes an integer seed or a numpy Generator; a Generator only
-    supplies the seed of the counter streams.  Trial i draws from the
-    streams keyed by (seed, i), so any partition of the trial range
-    reproduces the same ensemble.
+    ``rng`` takes an integer seed or a numpy Generator, which only supplies
+    the seed.  Positions and kicks are drawn whole from the streams (seed, 0)
+    and (seed, 1), so trial i depends on n_trials as well as on the seed.
     """
     n = cfg.n_trials
     v = guided_velocity(s)
     if v[0] <= 0:
         raise ValueError("guided speed must be positive to reach L2")
-    z0, kick_total = _trial_draws(s, cfg, stream_seed(rng), np.arange(n))
+    z0, kick_total = _trial_draws(s, cfg, stream_seed(rng), n)
 
     dt = cfg.lambda_sep / v[0]
     z2 = z0 + kick_total
@@ -374,8 +370,8 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
 
 def run_trace(s: TwoWaveState, cfg: ExpConfig, rng) -> TraceRecord:
     """One specimen through the two layers, keeping the raw registrations:
-    trial 0 of the draws ``simulate_exp`` makes from the same ``rng``."""
-    z0s, kicks = _trial_draws(s, cfg, stream_seed(rng), np.arange(1))
+    the draws of ``simulate_exp`` with ``n_trials=1`` from the same ``rng``."""
+    z0s, kicks = _trial_draws(s, cfg, stream_seed(rng), 1)
     z0, kick = float(z0s[0]), float(kicks[0])
     v = guided_velocity(s)
     t2 = cfg.lambda_sep / v[0]
@@ -435,53 +431,64 @@ class PlaneWaveSum:
     def momenta(self) -> np.ndarray:
         return np.array([p for _, p in self.components], dtype=float)
 
+    def terms(self, r) -> np.ndarray:
+        """Terms w_n exp(i (p_n - p_0) . r / hbar) of psi, shape (N, ...) for r
+        of shape (..., 3).  The factor exp(i p_0 . r / hbar) they leave out
+        cancels in |psi|^2 and in grad(arg psi)."""
+        w, p = self.weights, self.momenta
+        phases = np.tensordot((p[1:] - p[0]) / self.hbar, r, axes=(1, -1))
+        out = np.empty(w.shape + phases.shape[1:], dtype=np.complex128)
+        out[0] = w[0]
+        np.exp(1j * phases, out=out[1:])
+        out[1:] *= w[1:].reshape(-1, *[1] * (phases.ndim - 1))
+        return out
+
     def field(self, r) -> np.ndarray:
         """psi(r) for r of shape (..., 3)."""
-        r = np.asarray(r, dtype=float)
-        phases = r @ self.momenta.T / self.hbar
-        return np.exp(1j * phases) @ self.weights
+        return (np.exp(1j * np.dot(r, self.momenta[0]) / self.hbar)
+                * self.terms(r).sum(axis=0))
 
     def density_bound(self) -> float:
         """Sharp bound (sum |w_n|)^2 on |psi|^2 for rejection sampling."""
         return float(np.sum(np.abs(self.weights)) ** 2)
 
     def guided_momentum_at(self, r) -> np.ndarray:
-        """hbar grad(arg psi) = hbar Im(grad psi / psi), shape (..., 3)."""
-        r = np.asarray(r, dtype=float)
-        phases = r @ self.momenta.T / self.hbar
-        terms = np.exp(1j * phases) * self.weights  # (..., n)
-        psi = terms.sum(axis=-1)
-        grad = (terms[..., None] * self.momenta * (1j / self.hbar)).sum(axis=-2)
-        return self.hbar * np.imag(grad / psi[..., None])
+        """hbar grad(arg psi), shape (..., 3)."""
+        return _guided_momentum(self.momenta, self.terms(r))
 
     # genesis attachment protocol ------------------------------------------
 
     def sample_position(self, rng) -> np.ndarray:
-        return _sample_box_counter(self, stream_seed(rng), np.arange(1))[0]
+        """One point of |psi|^2 from the positions stream of ``rng``."""
+        return _sample_box(self, trial_generator(stream_seed(rng), _POSITIONS), 1)[0][0]
 
     def momentum_at(self, r, t) -> np.ndarray:
         return self.guided_momentum_at(np.asarray(r, dtype=float))
 
 
-def _sample_box_counter(w: PlaneWaveSum, seed: int, trial_ids: np.ndarray
-                        ) -> np.ndarray:
-    """Rejection sampling of |psi|^2 over the box against its sharp bound.
-    Trial i consumes counter draws 4r .. 4r + 3 for rounds r until
-    acceptance."""
-    bound = w.density_bound()
-    out = np.empty((trial_ids.size, 3))
-    remaining = np.arange(trial_ids.size)
-    r_round = 0
-    while remaining.size:
-        ids = trial_ids[remaining]
-        r = np.stack([counter_uniforms(seed, ids, 4 * r_round + axis)
-                      for axis in range(3)], axis=1) * w.box
-        accept = counter_uniforms(seed, ids, 4 * r_round + 3) * bound \
-            <= np.abs(w.field(r)) ** 2
-        out[remaining[accept]] = r[accept]
-        remaining = remaining[~accept]
-        r_round += 1
-    return out
+def _guided_momentum(momenta: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """hbar grad(arg psi) = Re(sum_n t_n p_n / sum_n t_n) from the terms t_n
+    of ``PlaneWaveSum.terms`` at the same points; shape (..., 3)."""
+    share = (terms / terms.sum(axis=0)).real
+    return np.moveaxis(np.tensordot(momenta, share, axes=(0, 0)), 0, -1)
+
+
+def _sample_box(w: PlaneWaveSum, gen: np.random.Generator, n: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """n points of |psi|^2 in the box, shape (n, 3), and their ``w.terms``,
+    by rejection against its sharp bound; with distinct momenta on the box's
+    reciprocal lattice the acceptance rate is sum |w_n|^2 / (sum |w_n|)^2."""
+    amps = np.abs(w.weights) / np.max(np.abs(w.weights))
+
+    def propose(m):
+        r = gen.random((3, m)) * w.box
+        terms = w.terms(r.T)
+        psi = terms.sum(axis=0)
+        keep = gen.random(m) * w.density_bound() <= psi.real ** 2 + psi.imag ** 2
+        return np.compress(keep, r, axis=1), np.compress(keep, terms, axis=1)
+
+    r, terms = _rejection_sample(n, np.sum(amps ** 2) / np.sum(amps) ** 2, propose)
+    return r.T, terms
 
 
 def pair_sum_spectrum(w: PlaneWaveSum) -> tuple[np.ndarray, np.ndarray]:
@@ -521,8 +528,8 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, rng,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    positions = _sample_box_counter(w, stream_seed(rng), np.arange(n_samples))
-    guided = w.guided_momentum_at(positions)
+    gen = trial_generator(stream_seed(rng), _POSITIONS)
+    guided = _guided_momentum(w.momenta, _sample_box(w, gen, n_samples)[1])
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)
     scale = max(float(np.max(np.abs(guided))), float(np.max(np.abs(cand_vecs))),
@@ -539,13 +546,13 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, rng,
             span = (hi - lo) * 0.05
             edges.append(np.linspace(lo - span, hi + span, bins + 1))
 
-    g_hist, _ = np.histogramdd(guided, bins=edges)
-    g_hist /= n_samples
+    # the edges cover every sample: the marginals are the 1-D histograms
+    counts, _ = np.histogramdd(guided, bins=edges)
+    marginals = [Histogram1D(edges[axis], counts.sum(axis=tuple(
+        a for a in range(3) if a != axis)) / n_samples) for axis in range(3)]
+    g_hist = counts / n_samples
     c_hist, _ = np.histogramdd(cand_vecs, bins=edges, weights=cand_wts)
     tv = 0.5 * float(np.abs(g_hist - c_hist).sum())
-
-    marginals = [Histogram1D.from_samples(guided[:, axis], edges[axis])
-                 for axis in range(3)]
     return BornCheckRecord(
         n_samples=n_samples,
         mean_guided_p=guided.mean(axis=0),

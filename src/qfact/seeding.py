@@ -1,9 +1,9 @@
-"""Counter-based random numbers for schedule-independent Monte Carlo.
+"""Keyed random streams for reproducible Monte Carlo.
 
-Every trial draws from a stream addressed by (seed, trial_id, draw_index),
-and a law's block table from one stream addressed by (seed, stream), so the
-numbers never depend on how the work is split.  The mixer is the splitmix64
-finalizer, applied to the three coordinates; it vectorizes over trial ids.
+Every sampler draws from numpy Generators addressed by (seed, stream): a
+law's block table from one stream, a pilot-wave run from one stream per
+role.  A stream's Generator is seeded by the splitmix64 finalizer of
+(seed, stream, draw index 0).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
-_SHIFT11 = np.uint64(11)
-_INV_2_53 = float(2.0 ** -53)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -50,12 +48,6 @@ def counter_uint64(seed: int, trial_ids, draw: int = 0) -> np.ndarray:
         s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
         d = _mix64(np.uint64(draw))
         return _mix64(t ^ s ^ (d * _GOLDEN))
-
-
-def counter_uniforms(seed: int, trial_ids, draw: int = 0) -> np.ndarray:
-    """Uniform[0, 1) floats addressed by (seed, trial_id, draw)."""
-    bits = counter_uint64(seed, trial_ids, draw)
-    return (bits >> _SHIFT11).astype(np.float64) * _INV_2_53
 
 
 def trial_generator(seed: int, trial_id: int) -> np.random.Generator:

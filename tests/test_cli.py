@@ -511,15 +511,15 @@ SHIPPED_CHECKSUMS = {
     },
     ("exp", "trace_experiment"): {
         "exp_direction_hist.csv": "341d974025a315ecb20074add0d535e151b2b12e30beac1fa03e29b3be50836a",
-        "exp_fringe_hist.csv": "e917d20a97b2e1f66b9a517aba908e9faf60456b4c57a62ee0560f319f1ec94f",
-        "exp_lambda_table.csv": "7b3478b7ebe1e985f39861db314180f721f8ed21fabd5db434cdf7ee51786bfd",
-        "exp_summary.json": "25e6ac42bdbc4c944433e0a30ce14299f9783648cac07869c2038cc03a578ab8",
+        "exp_fringe_hist.csv": "932f0949e615cade7c75b6639f4f2eed459c9c9d911a94316cc97743c5ae892e",
+        "exp_lambda_table.csv": "7d800f9d812bf743e721b3d827ec0749771b52243ef66b3e5fd082da0b345a35",
+        "exp_summary.json": "7892ac9a1c7bec22587890f0e1c6a0a47cc2457ef28e62a01bc03035390fdcc9",
     },
     ("borncheck", "trace_experiment"): {
-        "borncheck_px.csv": "03cc3d987522a9c328f6c7ae304e15e1b5a1595810f83d14c248ab664dadaaa6",
-        "borncheck_py.csv": "ee7a31ef130b1183b14e259e8372eb59562e30b19661c8bde91c2ea8c3cbea34",
-        "borncheck_pz.csv": "0f11cc7ab4a09e2b3f0fcfb153d5917707c1bcbce54ed25c57e5e33410f87f7f",
-        "borncheck_summary.json": "8ef15b670c3afeac7bc31e626fbe5dab955b470243d60bc857e46eb79e94cb3c",
+        "borncheck_px.csv": "23f35f75ac2b2c561258be6e823e24c89f0e301db939dae45c90661fee93231d",
+        "borncheck_py.csv": "cf987fedfeb072f5614331fce7ef58c0a1d388a5234ee3019f43707c129718b1",
+        "borncheck_pz.csv": "54d839c433050e2ac6ec1bbfffd9a4c40b71cb6be4543faffcbcc5fa99a477df",
+        "borncheck_summary.json": "e7f66a9ddb48b065e2ed70724ca6caa6bfa1b599a9268629cef5f2abfb901121",
     },
 }
 

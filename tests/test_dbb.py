@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qfact.dbb import (
     trace_angles,
 )
 from qfact.errors import NodeSingularityError
+from qfact.seeding import trial_generator
 
 ELECTRON = dict(v12=1.0e6, theta0=0.1, delta_phase=0.3, m0=9.109e-31)
 
@@ -289,7 +291,7 @@ def test_straight_line_trajectory_exact(wave):
 def test_fringe_sampling_density(wave):
     # sampled z histogram tracks the squared amplitude
     n = 200_000
-    z = dbb._sample_fringe_counter(wave, 8, np.arange(n), n_periods=2)
+    z = dbb._sample_fringe(wave, trial_generator(8, 0), n, n_periods=2)
     lo, hi = wave.fringe_window(2)
     counts, edges = np.histogram(z, bins=80, range=(lo, hi))
     centers = (edges[:-1] + edges[1:]) / 2
@@ -397,3 +399,104 @@ def test_two_wave_state_invariants():
     with pytest.raises(ValueError):
         TwoWaveState.from_corpuscle_speed(v12=4e8, theta0=0.1,
                                           delta_phase=0.0, m0=9.1e-31)
+
+
+# --- plane-wave terms, guidance and sampling, against oracles in this file -----
+
+def direct_field(components, r, hbar):
+    """psi(r) = sum_n w_n exp(i p_n . r / hbar), one full phase per component."""
+    psi = np.zeros(r.shape[:-1], dtype=complex)
+    for wn, pn in components:
+        psi += wn * np.exp(1j * (r @ np.asarray(pn)) / hbar)
+    return psi
+
+
+@pytest.mark.parametrize("components", [
+    ((0.9 - 0.3j, (1.2, -0.4, 0.7)),),
+    ((0.8 + 0j, (2.0, 0.0, 3.0)), (0.6 + 0.2j, (-1.0, 1.5, -3.0))),
+    ((0.7 + 0.1j, (1.0, 0.5, -0.3)), (0.4 - 0.2j, (-0.6, 1.1, 0.8)),
+     (0.3 + 0j, (0.2, -0.9, 1.5))),
+    # component 0, whose phase is factored out, has zero weight
+    ((0j, (5.0, -2.0, 1.0)), (0.7 + 0.1j, (1.0, 0.5, -0.3)),
+     (0.4 - 0.2j, (-0.6, 1.1, 0.8))),
+], ids=["N1", "N2", "N3", "N3-zero-w0"])
+def test_field_and_guidance_match_direct_sum(components, rng):
+    w = PlaneWaveSum(components=components, box=2 * math.pi, hbar=0.7)
+    r = rng.uniform(0, w.box, size=(400, 3))
+    psi = direct_field(components, r, w.hbar)
+    assert np.allclose(w.field(r), psi, rtol=0, atol=1e-12)
+    # central differences of the phase, away from amplitude nodes
+    r = r[np.abs(psi) > 0.2]
+    assert len(r) > 100
+    eps = 1e-6
+    grad = np.empty_like(r)
+    for axis in range(3):
+        step = np.zeros(3)
+        step[axis] = eps
+        ratio = (direct_field(components, r + step, w.hbar)
+                 / direct_field(components, r - step, w.hbar))
+        grad[:, axis] = np.angle(ratio) / (2 * eps)
+    guided = w.guided_momentum_at(r)
+    assert np.allclose(guided, w.hbar * grad, rtol=1e-6, atol=1e-6)
+    # any leading shape, a single point included
+    assert np.array_equal(w.guided_momentum_at(r[:100].reshape(10, 10, 3)),
+                          guided[:100].reshape(10, 10, 3))
+    assert w.guided_momentum_at(r[0]) == pytest.approx(guided[0], abs=1e-12)
+    assert w.field(r[0]) == pytest.approx(psi[np.abs(psi) > 0.2][0], abs=1e-12)
+
+
+def test_borncheck_marginals_are_histograms_of_guided_momenta():
+    # |w_0| > |w_1| + |w_2|: no amplitude nodes, every axis spread over bins
+    w = PlaneWaveSum(components=((1.0 + 0j, (1.0, 0.0, 2.0)),
+                                 (0.4 - 0.2j, (0.0, 2.0, -1.0)),
+                                 (0.3j, (-1.0, 1.0, 0.0))),
+                     box=2 * math.pi, hbar=1.0)
+    n = 20_000
+    rec = extended_born_check(w, n, 17, bins=16)
+    # the check draws its points from stream 0 of its seed
+    positions, _ = dbb._sample_box(w, trial_generator(17, 0), n)
+    guided = w.guided_momentum_at(positions)
+    assert rec.mean_guided_p == pytest.approx(guided.mean(axis=0), abs=1e-12)
+    for axis, hist in enumerate(rec.guided_hists):
+        assert hist.edges.size == 17
+        counts, _ = np.histogram(guided[:, axis], bins=hist.edges)
+        assert np.array_equal(hist.mass, counts / n)
+
+
+def test_three_wave_mean_guided_p_within_clt_bound_of_quadrature():
+    # momenta differ only along z, so psi varies only along z; no nodes
+    comps = ((1.0 + 0j, (1.0, -2.0, 3.0)), (0.5 - 0.2j, (1.0, -2.0, -1.0)),
+             (0.3j, (1.0, -2.0, 0.5)))
+    w = PlaneWaveSum(components=comps, box=2 * math.pi, hbar=1.0)
+    n = 100_000
+    rec = extended_born_check(w, n, 23)
+    # |psi|^2-weighted mean and spread of p_z by midpoint quadrature over z
+    points = 1 << 16
+    z = (np.arange(points) + 0.5) * (w.box / points)
+    amps = np.array([c[0] for c in comps])
+    kz = np.array([c[1][2] for c in comps])
+    waves = amps[:, None] * np.exp(1j * kz[:, None] * z)
+    psi = waves.sum(axis=0)
+    pz = np.imag((1j * kz[:, None] * waves).sum(axis=0) / psi)
+    dens = np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2)
+    mean = np.sum(dens * pz)
+    sd = math.sqrt(np.sum(dens * (pz - mean) ** 2))
+    assert abs(rec.mean_guided_p[2] - mean) <= 5 * sd / math.sqrt(n)
+    assert rec.mean_guided_p[:2] == pytest.approx([1.0, -2.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("law", ["uniform", "normal"])
+def test_run_trace_is_the_one_trial_run(wave, law):
+    cfg = ExpConfig(lambda_sep=1e-6, kick_law=law, n_trials=5_000)
+    pairs = [(seed, seed) for seed in range(8)]
+    pairs.append((np.random.default_rng(5), np.random.default_rng(5)))
+    for rng_trace, rng_exp in pairs:
+        rec = run_trace(wave, cfg, rng_trace)
+        one = simulate_exp(wave, replace(cfg, n_trials=1), rng_exp)
+        assert np.array_equal(rec.estimated_p, one.mean_estimated_p)
+        assert one.lambda_table[0][0] == cfg.lambda_sep
+        assert abs(rec.gammas[0]) == one.lambda_table[0][1]
+    # the trace starts at the point sample_position draws from the same seed
+    for seed in range(8):
+        (r1, _), _ = run_trace(wave, cfg, seed).ionizations
+        assert r1[2] == wave.sample_position(seed)[2]
