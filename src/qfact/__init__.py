@@ -20,7 +20,7 @@ from .errors import (
     UnknownLabelError,
     UnlinkedObservableError,
 )
-from .finprob import FactualLaw, StabilityVerdict, accumulate, check_convergence, frequencies, merge
+from .finprob import FactualLaw, StabilityVerdict, accumulate, check_convergence, frequencies
 from .genesis import (
     CodedOutcome,
     Composed,

@@ -420,6 +420,11 @@ class PlaneWaveSum:
             raise ValueError("need at least one component, each momentum 3-D")
         if not any(abs(w) > 0 for w, _ in self.components):
             raise ValueError("weights must not all vanish")
+        seen = set()
+        for _, p in self.components:
+            if (key := tuple(map(float, p))) in seen:
+                raise ValueError(f"momentum {list(key)} appears twice")
+            seen.add(key)
         if self.box <= 0 or self.hbar <= 0:
             raise ValueError("box side and hbar must be positive")
 

@@ -7,8 +7,8 @@ per block in trial order; the counts and the trial total are column and
 table sums.  A law is declared stable when, for every label, at least a
 (1 - delta) fraction of the complete blocks has a block frequency within
 epsilon of the frequency pooled over all complete blocks.  The trailing
-partial block (and any partial block inherited from a merge) never enters
-the verdict, so every judged block has the same sample size.
+partial block never enters the verdict, so every judged block has the same
+sample size.
 """
 
 from __future__ import annotations
@@ -113,30 +113,13 @@ class FactualLaw:
 
 def accumulate(law: FactualLaw, outcome: str) -> FactualLaw:
     """Record one coded outcome; opens a fresh block when the current one fills."""
-    return accumulate_indices(law, [law.index_of(outcome)])
-
-
-def accumulate_indices(law: FactualLaw, indices) -> FactualLaw:
-    """Record a stream of spectrum indices in order: top up the trailing
-    partial block, then count the rest into new blocks of n0 with one
-    bincount."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size == 0:
-        return law
-    n_labels, n0 = len(law.spectrum), law.block_size_n0
-    if idx.min() < 0 or idx.max() >= n_labels:
-        raise UnknownLabelError("outcome index outside spectrum")
-    table = law.blocks
-    room = n0 - int(table[-1].sum()) if len(table) else 0
-    if room > 0:
-        head, idx = idx[:room], idx[room:]
-        table = np.vstack([table[:-1],
-                           table[-1] + np.bincount(head, minlength=n_labels)])
-    n_new = -(-idx.size // n0)
-    keys = np.arange(idx.size) // n0 * n_labels + idx
-    new = np.bincount(keys, minlength=n_new * n_labels)
-    return replace(law, blocks=np.vstack([table,
-                                          new.reshape(n_new, n_labels)]))
+    j, table = law.index_of(outcome), law.blocks
+    if len(table) and table[-1].sum() < law.block_size_n0:
+        table = table.copy()
+    else:
+        table = np.vstack([table, np.zeros(len(law.spectrum), dtype=np.int64)])
+    table[-1, j] += 1
+    return replace(law, blocks=table)
 
 
 def frequencies(law: FactualLaw) -> dict[str, float]:
@@ -181,17 +164,6 @@ def check_convergence(law: FactualLaw) -> StabilityVerdict:
         worst_deviation=float(dev.max()),
         pooled_frequencies={lab: float(pooled[i]) for i, lab in enumerate(labels)},
     )
-
-
-def merge(a: FactualLaw, b: FactualLaw) -> FactualLaw:
-    """Combine independently built partial laws: stack b's block rows after
-    a's.  Partial blocks may then sit mid-table; they are simply never
-    judged, like a trailing partial block."""
-    if a.spectrum != b.spectrum:
-        raise ValueError("laws must share one spectrum to merge")
-    if (a.block_size_n0, a.epsilon, a.delta) != (b.block_size_n0, b.epsilon, b.delta):
-        raise ValueError("laws must share (epsilon, delta, n0) metadata to merge")
-    return replace(a, blocks=np.vstack([a.blocks, b.blocks]))
 
 
 # --- serialization ---------------------------------------------------------

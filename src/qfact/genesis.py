@@ -28,7 +28,6 @@ from .hilbert import (
     compose_superposition,
     evolve,
     sample_outcome,
-    sample_outcomes_from_uniforms,
 )
 from .seeding import block_table, stream_seed
 from .validation import check_rng
@@ -191,8 +190,8 @@ def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
     per factor, sampled jointly from the joint Born law."""
     s._consume()
     joint_law, dims = _joint_law(s.hidden_state, obs_list)
-    u = check_rng(rng).random()
-    flat = int(sample_outcomes_from_uniforms(joint_law, np.array([u]))[0])
+    flat = int(check_rng(rng).choice(joint_law.size,
+                                     p=joint_law / joint_law.sum()))
     parts = np.unravel_index(flat, dims)
     return [CodedOutcome(observable=o.name, eigen_index=int(j),
                          eigenvalue=float(o.eigenvalues[int(j)]),

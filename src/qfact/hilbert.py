@@ -139,16 +139,11 @@ def coefficients(state: OracleState, obs: ObservableSpec) -> np.ndarray:
 
 
 def sample_outcome(state: OracleState, obs: ObservableSpec, rng) -> int:
-    """Draw one eigenvalue index by inverse-CDF sampling of the Born law."""
-    u = np.array([check_rng(rng).random()])
-    return int(sample_outcomes_from_uniforms(born_law(state, obs), u)[0])
-
-
-def sample_outcomes_from_uniforms(law: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sampling of a fixed law against precomputed uniforms."""
-    cdf = np.cumsum(np.asarray(law, dtype=float))
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.intp)
+    """Draw one eigenvalue index from the Born law with ``Generator.choice``.
+    The law is normalized first: a validated state and eigenbasis give a
+    sum of 1 only within about 1e-10."""
+    p = born_law(state, obs)
+    return int(check_rng(rng).choice(p.size, p=p / p.sum()))
 
 
 def dirac_transform(coeffs, tau: TransformMatrix) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every sampler draws from numpy Generators addressed by (seed, stream): a
 law's block table from one stream, a pilot-wave run from one stream per
 role.  A stream's Generator is seeded by the splitmix64 finalizer of
-(seed, stream, draw index 0).
+(seed, stream).
 """
 
 from __future__ import annotations
@@ -41,19 +41,15 @@ def stream_seed(rng) -> int:
     return int(check_rng(rng).integers(2 ** 63))
 
 
-def counter_uint64(seed: int, trial_ids, draw: int = 0) -> np.ndarray:
-    """Deterministic 64-bit words for the given trials at one draw index."""
+def trial_generator(seed: int, stream: int) -> np.random.Generator:
+    """Full numpy Generator for the stream (seed, stream)."""
+    # the mix64(0) * golden term keeps the keys that frozen draws were
+    # recorded with
     with np.errstate(over="ignore"):
-        t = np.asarray(trial_ids, dtype=np.uint64)
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        d = _mix64(np.uint64(draw))
-        return _mix64(t ^ s ^ (d * _GOLDEN))
-
-
-def trial_generator(seed: int, trial_id: int) -> np.random.Generator:
-    """Full numpy Generator for one trial's private stream."""
-    root = int(counter_uint64(seed, [trial_id]).item())
-    return np.random.default_rng(root)
+        key = _mix64(np.uint64(stream)
+                     ^ _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
+                     ^ _mix64(np.uint64(0)) * _GOLDEN)
+    return np.random.default_rng(int(key))
 
 
 def block_table(seed: int, stream: int, probs, n: int, n0: int) -> np.ndarray:

@@ -446,6 +446,20 @@ def test_exp_command_outputs(tmp_path):
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
+def test_borncheck_repeated_momentum_exit_code_2(tmp_path, capsys):
+    # two equal momenta with opposite weights: |psi|^2 vanishes everywhere
+    doc = copy.deepcopy(DBB_DOC)
+    doc["dbb"]["plane_waves"]["components"] = [
+        {"weight": [1.0, 0.0], "momentum": [1.0, 0.0, 2.0]},
+        {"weight": [-1.0, 0.0], "momentum": [1.0, 0.0, 2.0]}]
+    code = cli.main(["borncheck", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error:")
+    assert "momentum [1.0, 0.0, 2.0] appears twice" in err
+
+
 def test_borncheck_command_outputs(tmp_path):
     path = write_scenario(tmp_path, DBB_DOC)
     assert cli.main(["borncheck", "--scenario", path,

@@ -304,6 +304,14 @@ def test_fringe_sampling_density(wave):
 
 # --- plane-wave sums ----------------------------------------------------------
 
+def test_plane_wave_sum_rejects_repeated_momentum():
+    # weights 1 and -1 on one momentum make |psi|^2 vanish everywhere, and a
+    # rejection sampler would never accept a position
+    with pytest.raises(ValueError, match=r"momentum \[1\.0, 0\.0, 2\.0\]"):
+        PlaneWaveSum(components=((1.0, (1, 0, 2)), (-1.0, (1, 0, 2))),
+                     box=2 * math.pi)
+
+
 def test_single_plane_wave_delta_at_p():
     w = PlaneWaveSum(components=((1.0 + 0j, (1.5, 0.0, -0.5)),),
                      box=2 * math.pi, hbar=1.0)

@@ -6,7 +6,7 @@ from scipy import stats
 
 from qfact import finprob
 from qfact.errors import EmptyLawError, InsufficientBlocksError, UnknownLabelError
-from qfact.finprob import FactualLaw, accumulate, accumulate_indices, check_convergence, frequencies, merge
+from qfact.finprob import FactualLaw, accumulate, check_convergence, frequencies
 from qfact.seeding import trial_generator
 
 LABELS = ("a1", "a2")
@@ -14,6 +14,13 @@ LABELS = ("a1", "a2")
 
 def fresh(spectrum=LABELS, eps=0.02, delta=0.05, n0=4):
     return FactualLaw.empty(spectrum, eps, delta, n0)
+
+
+def fold(law, indices):
+    """Accumulate a stream of spectrum indices one outcome at a time."""
+    for i in indices:
+        law = accumulate(law, law.spectrum[i])
+    return law
 
 
 # --- accumulate -------------------------------------------------------------
@@ -53,40 +60,32 @@ def test_accumulate_is_value_like():
 def index_streams(draw):
     n_labels = draw(st.integers(min_value=1, max_value=4))
     n0 = draw(st.integers(min_value=1, max_value=6))
-    index = st.integers(min_value=0, max_value=n_labels - 1)
-    first = draw(st.lists(index, max_size=25))
-    second = draw(st.lists(index, max_size=25))
-    return n_labels, n0, first, second
+    stream = draw(st.lists(st.integers(min_value=0, max_value=n_labels - 1),
+                           max_size=50))
+    return n_labels, n0, stream
 
 
 @settings(max_examples=100, deadline=None)
 @given(index_streams())
-def test_batch_accumulate_matches_fold(stream):
-    # two batches, so the second tops up the first one's partial block
-    n_labels, n0, first, second = stream
-    labels = tuple(f"a{j}" for j in range(n_labels))
-    batch = accumulate_indices(accumulate_indices(
-        fresh(spectrum=labels, n0=n0), first), second)
-    folded = fresh(spectrum=labels, n0=n0)
-    for i in first + second:
-        folded = accumulate(folded, labels[i])
-    assert batch == folded
+def test_accumulate_fold_matches_block_bincount(case):
+    n_labels, n0, stream = case
+    law = fold(fresh(spectrum=tuple(f"a{j}" for j in range(n_labels)),
+                     n0=n0), stream)
     # oracle: one bincount per run of n0 consecutive outcomes
-    whole = first + second
-    assert batch.blocks.tolist() == [
-        np.bincount(whole[k:k + n0], minlength=n_labels).tolist()
-        for k in range(0, len(whole), n0)]
+    assert law.blocks.tolist() == [
+        np.bincount(stream[k:k + n0], minlength=n_labels).tolist()
+        for k in range(0, len(stream), n0)]
 
 
 # --- frequencies ------------------------------------------------------------
 
 def test_frequencies_arithmetic():
-    law = accumulate_indices(fresh(), np.array([0, 0, 0, 1]))
+    law = fold(fresh(), [0, 0, 0, 1])
     assert frequencies(law) == {"a1": 0.75, "a2": 0.25}
 
 
 def test_frequencies_delta_law():
-    law = accumulate_indices(fresh(), np.zeros(5, dtype=int))
+    law = fold(fresh(), [0, 0, 0, 0, 0])
     assert frequencies(law) == {"a1": 1.0, "a2": 0.0}
 
 
@@ -96,7 +95,7 @@ def test_frequencies_empty_law_errors():
 
 
 def test_frequency_sum_exact_with_shared_denominator():
-    law = accumulate_indices(fresh(), np.array([0, 1, 0, 1, 1, 1, 0]))
+    law = fold(fresh(), [0, 1, 0, 1, 1, 1, 0])
     assert sum(law.counts.values()) / law.n_total == 1.0
 
 
@@ -176,58 +175,10 @@ def test_partial_final_block_excluded():
     assert verdict.pooled_frequencies == {"a1": 0.5, "a2": 0.5}
 
 
-# --- merge ------------------------------------------------------------------
-
-@st.composite
-def law_pair(draw):
-    n0 = draw(st.integers(min_value=1, max_value=5))
-    seqs = []
-    for _ in range(3):
-        seqs.append(draw(st.lists(st.integers(min_value=0, max_value=1),
-                                  min_size=0, max_size=20)))
-    laws = [accumulate_indices(fresh(n0=n0), np.array(s, dtype=int))
-            for s in seqs]
-    return laws
-
-
-@settings(max_examples=50, deadline=None)
-@given(law_pair())
-def test_merge_commutative_and_associative_up_to_block_order(laws):
-    a, b, c = laws
-    ab = merge(a, b)
-    ba = merge(b, a)
-    assert ab.counts == ba.counts
-    assert ab.n_total == ba.n_total
-    assert sorted(ab.blocks.tolist()) == sorted(ba.blocks.tolist())
-    left = merge(merge(a, b), c)
-    right = merge(a, merge(b, c))
-    assert left.counts == right.counts
-    assert left == right
-
-
-def test_merge_pooled_frequency_is_count_weighted_mean():
-    a = accumulate_indices(fresh(n0=4), np.array([0, 0, 0, 0, 1, 1, 1, 1]))
-    b = accumulate_indices(fresh(n0=4), np.array([0, 0, 0, 0]))
-    m = merge(a, b)
-    fa, fb = frequencies(a), frequencies(b)
-    expected = {lab: (fa[lab] * a.n_total + fb[lab] * b.n_total)
-                / (a.n_total + b.n_total) for lab in LABELS}
-    assert frequencies(m) == expected
-    assert check_convergence(m).pooled_frequencies == expected
-
-
-def test_merge_requires_same_spectrum_and_metadata():
-    with pytest.raises(ValueError):
-        merge(fresh(), fresh(spectrum=("x", "y")))
-    with pytest.raises(ValueError):
-        merge(fresh(n0=4), fresh(n0=8))
-
-
 # --- serialization ----------------------------------------------------------
 
 def test_csv_round_trip_counts_bit_exact():
-    law = accumulate_indices(fresh(eps=0.015, delta=0.07, n0=3),
-                             np.array([0, 1, 1, 0, 1, 1, 1]))
+    law = fold(fresh(eps=0.015, delta=0.07, n0=3), [0, 1, 1, 0, 1, 1, 1])
     back = finprob.from_csv(finprob.to_csv(law))
     assert back.counts == law.counts
     assert back.n_total == law.n_total
@@ -236,7 +187,7 @@ def test_csv_round_trip_counts_bit_exact():
 
 
 def test_json_round_trip_full():
-    law = accumulate_indices(fresh(n0=3), np.array([0, 1, 1, 0, 1, 1, 1]))
+    law = fold(fresh(n0=3), [0, 1, 1, 0, 1, 1, 1])
     back = finprob.from_json(finprob.to_json(law))
     assert back == law
 
@@ -258,8 +209,7 @@ def test_law_invariants_enforced():
 
 
 def test_json_declared_totals_must_match_block_table():
-    doc = finprob.to_json_dict(
-        accumulate_indices(fresh(n0=3), np.array([0, 1, 1, 0, 1])))
+    doc = finprob.to_json_dict(fold(fresh(n0=3), [0, 1, 1, 0, 1]))
     bad_counts = dict(doc, counts={"a1": 3, "a2": 2})
     bad_total = dict(doc, n_total=6)
     for bad in (bad_counts, bad_total):

@@ -329,3 +329,52 @@ def test_multisystem_joint_equals_factor_outcomes(rng):
             expected[:, j] += joint_law.blocks[:, flat]
         assert np.array_equal(marginal.blocks, expected)
     assert abs(jf.sum() - 1.0) < 1e-12
+
+
+# --- individual successions against the batched runners ----------------------
+
+def test_folded_successions_follow_born_law_in_full_blocks():
+    # the individual level: one generate-then-measure succession per coded
+    # outcome, folded into the law one label at a time
+    setup = np.random.default_rng(31)
+    psi, obs = random_state(3, setup), random_observable("A", 3, setup)
+    g, gen = Simple("G", state=psi), np.random.default_rng(2718)
+    n, n0 = 10_000, 1000
+    law = finprob.FactualLaw.empty(obs.labels(), block_size_n0=n0)
+    for _ in range(n):
+        law = finprob.accumulate(
+            law, mes_coding_nc(generate(g, gen), obs, gen).label)
+    assert law.blocks.sum(axis=1).tolist() == [n0] * (n // n0)
+    # oracle: |<u_j|psi>|^2 from the eigenbasis columns
+    pi = np.array([abs(np.vdot(obs.eigenbasis[:, j], psi.amplitudes)) ** 2
+                   for j in range(3)])
+    counts = law.blocks.sum(axis=0)
+    assert stats.chisquare(counts, n * pi / pi.sum()).pvalue > 1e-3
+    # the batched runner: the same block layout, and counts from one law
+    batched = run_successions(g, obs, n, 0.02, 0.05, n0, 2718)
+    assert batched.blocks.shape == law.blocks.shape
+    both = np.array([counts, batched.blocks.sum(axis=0)])
+    assert stats.chi2_contingency(both).pvalue > 1e-3
+
+
+def test_complete_measurement_outcomes_follow_joint_born_law():
+    setup = np.random.default_rng(32)
+    joint = random_state(6, setup)
+    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3),
+                    factor_labels=("S1", "S2"))
+    obs = [random_observable("A1", 2, setup), random_observable("A2", 3, setup)]
+    gen, n = np.random.default_rng(2719), 10_000
+    flat = [np.ravel_multi_index(
+                [o.eigen_index for o in mes_complete(generate(g, gen), obs, gen)],
+                (2, 3))
+            for _ in range(n)]
+    counts = np.bincount(flat, minlength=6)
+    # oracle: |<u_i (x) v_j|psi>|^2 at flat index 3 i + j
+    pi = np.array([abs(np.vdot(np.kron(obs[0].eigenbasis[:, i],
+                                       obs[1].eigenbasis[:, j]),
+                               joint.amplitudes)) ** 2
+                   for i in range(2) for j in range(3)])
+    assert stats.chisquare(counts, n * pi / pi.sum()).pvalue > 1e-3
+    batched, _ = run_complete_successions(g, obs, n, 0.02, 0.05, 1000, 2719)
+    both = np.array([counts, batched.blocks.sum(axis=0)])
+    assert stats.chi2_contingency(both).pvalue > 1e-3
