@@ -57,7 +57,7 @@ def _verdict_doc(law, verdict) -> dict:
         "epsilon": law.epsilon,
         "delta": law.delta,
         "block_size_n0": law.block_size_n0,
-        "n_complete_blocks": len(law.complete_blocks()),
+        "n_complete_blocks": verdict.n_complete_blocks,
     }
 
 
@@ -208,7 +208,7 @@ def run_command(command: str, scenario_path: str, seed: int | None = None,
                 out: str | None = None, workers: int = 1) -> Path:
     """Execute one pipeline; returns the output directory (``workers`` is ignored)."""
     started = time.perf_counter()
-    scn = scenario.load_scenario_file(scenario_path, seed)
+    scn, source = scenario.load_scenario_file(scenario_path, seed)
     outputs = COMMANDS[command](scn)
 
     out_dir = Path(out) if out is not None else Path(scn.output_dir)
@@ -220,8 +220,7 @@ def run_command(command: str, scenario_path: str, seed: int | None = None,
         checksums[name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "command": command,
-        "scenario_hash": hashlib.sha256(
-            Path(scenario_path).read_bytes()).hexdigest(),
+        "scenario_hash": hashlib.sha256(source).hexdigest(),
         "seed": scn.seed,
         "outputs": checksums,
         "wall_clock_s": time.perf_counter() - started,

@@ -17,11 +17,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyLawError, InsufficientBlocksError, UnknownLabelError
-from .validation import check_in_unit_interval
+from .validation import check_in_unit_interval, check_integer
 
 DEFAULT_EPSILON = 0.02
 DEFAULT_DELTA = 0.05
@@ -86,17 +87,24 @@ class FactualLaw:
     def from_block_counts(cls, spectrum, blocks, epsilon=DEFAULT_EPSILON,
                           delta=DEFAULT_DELTA, block_size_n0=DEFAULT_BLOCK_SIZE
                           ) -> "FactualLaw":
-        """Build a law from per-block count maps in trial order; a label a
-        block leaves out counts 0 there."""
+        """Build a law from a sequence of per-block dicts of int counts (not
+        bools) in trial order; a label a block leaves out counts 0 there."""
         spectrum = tuple(spectrum)
-        known = set(spectrum)
-        rows = []
-        for block in blocks:
-            if unknown := block.keys() - known:
-                raise UnknownLabelError(
-                    f"block labels {sorted(unknown)} not in spectrum {spectrum}")
-            rows.append([block.get(lab, 0) for lab in spectrum])
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), len(spectrum))
+        col = {lab: j for j, lab in enumerate(spectrum)}
+        if not set(map(type, blocks)) <= {dict}:
+            raise TypeError("each block must be an object of label counts")
+        try:
+            cols = list(map(col.__getitem__, chain.from_iterable(blocks)))
+        except KeyError:
+            unknown = set(chain.from_iterable(blocks)) - col.keys()
+            raise UnknownLabelError(
+                f"block labels {sorted(unknown)} not in spectrum {spectrum}") from None
+        values = list(chain.from_iterable(map(dict.values, blocks)))
+        if not set(map(type, values)) <= {int}:
+            raise TypeError("block counts must be integers")
+        rows = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
+        table = np.zeros((len(blocks), len(spectrum)), dtype=np.int64)
+        table[rows, cols] = values
         return cls(spectrum, table, block_size_n0, epsilon, delta)
 
     def complete_blocks(self) -> np.ndarray:
@@ -141,6 +149,7 @@ class StabilityVerdict:
     per_label_fraction_within_epsilon: dict[str, float]
     worst_deviation: float
     pooled_frequencies: dict[str, float]
+    n_complete_blocks: int
 
 
 def check_convergence(law: FactualLaw) -> StabilityVerdict:
@@ -163,6 +172,7 @@ def check_convergence(law: FactualLaw) -> StabilityVerdict:
         per_label_fraction_within_epsilon=fractions,
         worst_deviation=float(dev.max()),
         pooled_frequencies={lab: float(pooled[i]) for i, lab in enumerate(labels)},
+        n_complete_blocks=len(table),
     )
 
 
@@ -218,10 +228,10 @@ def from_json_dict(doc: dict) -> FactualLaw:
     if unknown := [key for key in doc if key not in JSON_KEYS]:
         raise ValueError(f"unknown law key {', '.join(map(repr, unknown))}")
     law = FactualLaw.from_block_counts(
-        doc["spectrum"], [dict(b) for b in doc["block_history"]],
-        float(doc["epsilon"]), float(doc["delta"]), int(doc["block_size_n0"]))
-    declared = {str(k): int(v) for k, v in dict(doc["counts"]).items()}
-    if declared != law.counts or int(doc["n_total"]) != law.n_total:
+        doc["spectrum"], doc["block_history"], float(doc["epsilon"]),
+        float(doc["delta"]), check_integer(doc["block_size_n0"]))
+    declared = {str(k): check_integer(v) for k, v in dict(doc["counts"]).items()}
+    if declared != law.counts or check_integer(doc["n_total"]) != law.n_total:
         raise ValueError("declared counts and n_total disagree with the block table")
     return law
 

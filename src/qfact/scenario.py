@@ -26,6 +26,7 @@ from .hilbert import (
     TransformMatrix,
     transform_between,
 )
+from .validation import check_integer as _integer
 
 
 @dataclass(frozen=True)
@@ -158,14 +159,6 @@ def _list_of(read):
 def _real(v) -> float:
     ok = isinstance(v, (int, float)) and not isinstance(v, bool)
     return float(_expect(v, ok and math.isfinite(v), "a finite number"))
-
-
-def _integer(v) -> int:
-    """A JSON integer, or an integral float such as 1e6, below 2**63."""
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    ok = isinstance(v, int) and not isinstance(v, bool) and abs(v) < 2 ** 63
-    return _expect(v, ok, "an integer below 2**63")
 
 
 def _complex(v) -> complex:
@@ -341,7 +334,10 @@ def load_scenario(text: str, seed_override: int | None = None) -> Scenario:
     return scn
 
 
-def load_scenario_file(path, seed_override: int | None = None) -> Scenario:
+def load_scenario_file(path, seed_override: int | None = None
+                       ) -> tuple[Scenario, bytes]:
+    """The scenario in the file at ``path``, and the bytes it was parsed from."""
     with _reading(f"scenario file {path}"):
-        text = Path(path).read_text(encoding="utf-8")
-    return load_scenario(text, seed_override)
+        source = Path(path).read_bytes()
+        text = source.decode("utf-8")
+    return load_scenario(text, seed_override), source

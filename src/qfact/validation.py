@@ -94,3 +94,12 @@ def check_in_unit_interval(x, name) -> float:
     if not 0.0 < val < 1.0:
         raise ValueError(f"{name} must lie strictly inside (0, 1), got {val!r}")
     return val
+
+
+def check_integer(x) -> int:
+    """A JSON integer, or an integral float such as 1e6, below 2**63."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int) or abs(x) >= 2 ** 63:
+        raise TypeError(f"expected an integer below 2**63, got {x!r}")
+    return x

@@ -37,9 +37,9 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
-def identical_blocks_doc():
+def identical_blocks_doc(n_blocks=10):
     law = finprob.FactualLaw.from_block_counts(
-        ("a1", "a2"), [{"a1": 3, "a2": 1}] * 10, epsilon=0.02, delta=0.05,
+        ("a1", "a2"), [{"a1": 3, "a2": 1}] * n_blocks, epsilon=0.02, delta=0.05,
         block_size_n0=4)
     return {"seed": 1, "stability": {"law": finprob.to_json_dict(law)}}
 
@@ -105,6 +105,16 @@ def test_missing_scenario_file_exit_code_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "scenario error:" in err and "nope.json" in err
+
+
+def test_scenario_file_not_utf8_exit_code_2(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes('{"seed": 1, "output_dir": "é"}'
+                                           .encode("latin-1"))
+    code = cli.main(["tree", "--scenario", str(tmp_path / "latin1.json"),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: scenario file ") and "utf-8" in err
 
 
 def test_scenario_complex_pairs_enforced():
@@ -231,10 +241,20 @@ def test_unknown_field_named_exit_code_2(tmp_path, capsys, command, name,
     ("block_history", None),
     ("counts", {"a1": 20, "a2": 20}),
     ("n_total", 41),
-], ids=["no_block_history", "counts_mismatch", "n_total_mismatch"])
+    ("block_history", [{"a1": 3, "a2": 1.5}] * 10),
+    ("block_history", [{"a1": 3, "a2": True}] * 10),
+    ("block_history", [{"a1": "3", "a2": 1}] * 10),
+    ("block_history", [[["a1", 3], ["a2", 1]]] * 10),
+    ("block_size_n0", 4.5),
+    ("n_total", 40.9),
+    ("counts", {"a1": 30.5, "a2": 10}),
+], ids=["no_block_history", "counts_mismatch", "n_total_mismatch", "count_float",
+        "count_bool", "count_string", "block_pairs", "n0_float", "n_total_float",
+        "declared_float"])
 def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
     # a readable law with one field set to ``value`` (None: deleted); the
-    # mismatched counts still sum to n_total, the table's 40 trials
+    # mismatched counts still sum to n_total, the table's 40 trials, and each
+    # non-integer would read as the law's own value if it were truncated
     doc = identical_blocks_doc()
     law = doc["stability"]["law"]
     if value is None:
@@ -246,7 +266,7 @@ def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
                      "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "scenario error:" in err
+    assert err.startswith("scenario error: stability: ")
     assert "Traceback" not in err
 
 
@@ -476,8 +496,14 @@ def test_borncheck_command_outputs(tmp_path):
 # --- manifest ----------------------------------------------------------------
 
 def test_manifest_checksums_match_files(tmp_path):
-    path = write_scenario(tmp_path, identical_blocks_doc())
-    cli.main(["stability", "--scenario", path, "--out", str(tmp_path / "out")])
+    # CRLF line ends and a non-ASCII name: the hash is of the file's bytes,
+    # not of the text they decode to
+    doc = dict(identical_blocks_doc(), output_dir="sortie-é")
+    path = tmp_path / "scenario.json"
+    path.write_bytes(json.dumps(doc, indent=1, ensure_ascii=False)
+                     .replace("\n", "\r\n").encode("utf-8"))
+    assert cli.main(["stability", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == "stability"
     for name, digest in manifest["outputs"].items():
@@ -580,9 +606,12 @@ def _set_leaf(doc, path, value):
     doc[key] = value
 
 
-@pytest.mark.parametrize("command,name", list(SHIPPED_CHECKSUMS))
+@pytest.mark.parametrize("command,name",
+                         [*SHIPPED_CHECKSUMS, ("stability", "inline_law")])
 def test_scenario_mutations_exit_cleanly(tmp_path, capsys, command, name):
-    base = json.loads((SCENARIOS / f"{name}.json").read_text())
+    # no shipped scenario has an inline law, so a 3-block one is swept too
+    base = identical_blocks_doc(3) if name == "inline_law" else \
+        json.loads((SCENARIOS / f"{name}.json").read_text())
     leaves = list(_leaf_paths(base))
     for path, value in SHRUNK.items():
         if path in leaves:

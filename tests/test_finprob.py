@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,3 +226,72 @@ def test_json_declared_totals_must_match_block_table():
                                                         {"a2": 2}]))
     with pytest.raises(ValueError, match="unknown law key 'epsilonn'"):
         finprob.from_json_dict(dict(doc, epsilonn=0.5))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("block_history", [{"a1": 1.5, "a2": 2}, {"a1": 1, "a2": 1}]),
+    ("block_history", [{"a1": True, "a2": 2}, {"a1": 1, "a2": 1}]),
+    ("block_history", [{"a1": "1", "a2": 2}, {"a1": 1, "a2": 1}]),
+    ("block_history", [[["a1", 1], ["a2", 2]], {"a1": 1, "a2": 1}]),
+    ("block_history", {"a1": 2, "a2": 3}),
+    ("block_size_n0", 3.5),
+    ("n_total", 5.9),
+    ("counts", {"a1": 2.5, "a2": 3}),
+], ids=["count_float", "count_bool", "count_string", "block_pairs",
+        "history_object", "n0_float", "n_total_float", "declared_float"])
+def test_json_non_integers_rejected(field, value):
+    # a reader that truncates would read each value but the history object
+    # as the law's own
+    doc = finprob.to_json_dict(fold(fresh(n0=3), [0, 1, 1, 0, 1]))
+    with pytest.raises(TypeError):
+        finprob.from_json_dict(dict(doc, **{field: value}))
+
+
+def test_json_integral_float_totals_accepted():
+    # n0 and the declared totals follow the scenario schema's integer rule
+    law = fold(fresh(n0=3), [0, 1, 1, 0, 1])
+    doc = dict(finprob.to_json_dict(law), block_size_n0=3.0, n_total=5.0,
+               counts={"a1": 2.0, "a2": 3e0})
+    assert finprob.from_json_dict(doc) == law
+
+
+@st.composite
+def block_tables(draw):
+    """A law of d = 1-8 labels and 0-50 blocks of n0 trials, the last one
+    possibly partial; small n0 leaves many zero counts."""
+    d = draw(st.integers(min_value=1, max_value=8))
+    n0 = draw(st.integers(min_value=1, max_value=6))
+    n_blocks = draw(st.integers(min_value=0, max_value=50))
+    sizes = [n0] * n_blocks
+    if sizes:
+        sizes[-1] = draw(st.integers(min_value=1, max_value=n0))
+    rows = [np.bincount(draw(st.lists(st.integers(0, d - 1), min_size=k,
+                                      max_size=k)), minlength=d)
+            for k in sizes]
+    table = np.reshape(rows, (n_blocks, d)).astype(np.int64)
+    return FactualLaw(tuple(f"a{j}" for j in range(d)), table, n0, 0.02, 0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_tables(), st.randoms(use_true_random=False))
+def test_block_counts_scatter_matches_row_loop(law, rnd):
+    doc = json.loads(json.dumps(finprob.to_json_dict(law)))
+    assert finprob.from_json_dict(doc) == law
+    # the same blocks with their labels in a shuffled order, zeros left out
+    blocks = []
+    for row in law.blocks.tolist():
+        labels = [lab for lab, c in zip(law.spectrum, row) if c]
+        rnd.shuffle(labels)
+        blocks.append({lab: row[law.spectrum.index(lab)] for lab in labels})
+    # reference: one list per block in spectrum order
+    reference = [[block.get(lab, 0) for lab in law.spectrum] for block in blocks]
+    built = FactualLaw.from_block_counts(law.spectrum, blocks, law.epsilon,
+                                         law.delta, law.block_size_n0)
+    assert built.blocks.tolist() == reference
+    assert built == law
+    if blocks:
+        unknown = sorted(rnd.sample(["zz", "b0", "a9", "x"], rnd.randint(1, 4)))
+        for lab in unknown:
+            blocks[rnd.randrange(len(blocks))][lab] = 1
+        with pytest.raises(UnknownLabelError, match=re.escape(str(unknown))):
+            FactualLaw.from_block_counts(law.spectrum, blocks)
