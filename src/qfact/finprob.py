@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import EmptyLawError, InsufficientBlocksError, UnknownLabelError
-from .validation import check_in_unit_interval, check_integer
+from .validation import check_in_unit_interval, check_integer, check_real
 
 DEFAULT_EPSILON = 0.02
 DEFAULT_DELTA = 0.05
@@ -223,14 +223,21 @@ def to_json_dict(law: FactualLaw) -> dict:
 
 
 def from_json_dict(doc: dict) -> FactualLaw:
-    """Read :func:`to_json_dict`'s layout, and no other key; the declared
-    ``counts`` and ``n_total`` must equal the sums of the block table."""
+    """Read :func:`to_json_dict`'s layout, and no other key, with JSON's
+    types: a list of string labels, numbers for epsilon and delta, and
+    objects of counts; the declared ``counts`` and ``n_total`` must equal
+    the sums of the block table."""
     if unknown := [key for key in doc if key not in JSON_KEYS]:
         raise ValueError(f"unknown law key {', '.join(map(repr, unknown))}")
+    spectrum, counts = doc["spectrum"], doc["counts"]
+    if not isinstance(spectrum, list) or not set(map(type, spectrum)) <= {str}:
+        raise TypeError(f"spectrum must be a list of strings, got {spectrum!r}")
+    if not isinstance(counts, dict):
+        raise TypeError(f"counts must be an object of label counts, got {counts!r}")
     law = FactualLaw.from_block_counts(
-        doc["spectrum"], doc["block_history"], float(doc["epsilon"]),
-        float(doc["delta"]), check_integer(doc["block_size_n0"]))
-    declared = {str(k): check_integer(v) for k, v in dict(doc["counts"]).items()}
+        spectrum, doc["block_history"], check_real(doc["epsilon"]),
+        check_real(doc["delta"]), check_integer(doc["block_size_n0"]))
+    declared = {k: check_integer(v) for k, v in counts.items()}
     if declared != law.counts or check_integer(doc["n_total"]) != law.n_total:
         raise ValueError("declared counts and n_total disagree with the block table")
     return law

@@ -7,9 +7,13 @@ residual, a sum of squares that is zero at the answer for exact laws,
     R(alpha) = sum_B sum_k ( |sum_j tau^B_kj sqrt(pi_A(j)) e^{i alpha_j}|^2
                              - pi_B(k) )^2
 
-with the first phase gauged to zero.  A law set that admits no phase
-assignment (residual above tolerance after every restart) is rejected as
-not representable by any single state vector.
+with the first phase gauged to zero.  A restart stops when R falls to the
+stop tolerance, when its damping passes the cap, or when a kept step lowers
+R by a relative FLOOR_FTOL or less (MINPACK's relative-reduction test): it
+has then reached a floor above zero, a local minimum that no further step
+can turn into an exact fit.  A law set that admits no phase assignment
+(residual above tolerance after every restart) is rejected as not
+representable by any single state vector.
 
 ``StateReconstructor`` wraps the procedure in a scikit-learn style
 fit/predict estimator so it composes with the wider ecosystem.
@@ -36,6 +40,11 @@ ZERO_AMP = 1e-12
 # floor (J's anchor column is zero) and the cap past which a restart stalls
 DAMPING_START, DAMPING_SHRINK, DAMPING_GROW = 1e-3, 0.3, 10.0
 DAMPING_FLOOR, DAMPING_CAP = 1e-15, 1e10
+# a kept step that lowers R by this relative amount or less ends its restart:
+# a restart heading for R = 0 converges geometrically and never gets this slow
+FLOOR_FTOL = 1e-8
+# restarts whose phases differ by more than this are different basins
+BASIN_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -130,24 +139,20 @@ def _wrap_phase(alpha: np.ndarray) -> np.ndarray:
     return wrapped
 
 
-def _residual_terms(alpha: np.ndarray, amp: np.ndarray, partners,
-                    anchor: int = 0):
-    """Residual terms r_k = |d_k|^2 - pi_B(k) of all partners, shape (m, K),
-    and their Jacobian dr_k/dalpha_j = -2 Im(conj(d_k) tau_kj c_j), shape
-    (m, K, d), with the anchor column zero (gauge freedom)."""
-    tau = np.concatenate([tau for tau, _ in partners])
+def _residual_terms(alpha: np.ndarray, amp: np.ndarray, tau: np.ndarray,
+                    law: np.ndarray, anchor: int = 0, jacobian: bool = True):
+    """Residual terms r_k = |d_k|^2 - pi_B(k) of the stacked partners, shape
+    (m, K), and, unless ``jacobian`` is false, their Jacobian
+    dr_k/dalpha_j = -2 Im(conj(d_k) tau_kj c_j), shape (m, K, d), with the
+    anchor column zero (gauge freedom)."""
     c = amp * np.exp(1j * alpha)
     d = c @ tau.T
+    r = np.abs(d) ** 2 - law
+    if not jacobian:
+        return r
     jac = -2.0 * np.imag(d.conj()[:, :, None] * tau * c[:, None, :])
     jac[:, :, anchor] = 0.0
-    return np.abs(d) ** 2 - np.concatenate([law for _, law in partners]), jac
-
-
-def _residual_and_grad(alpha: np.ndarray, amp: np.ndarray, partners,
-                       anchor: int = 0):
-    """Batched R = sum_k r_k^2 and dR/dalpha = 2 J^T r, alpha of shape (m, d)."""
-    r, jac = _residual_terms(alpha, amp, partners, anchor)
-    return np.sum(r ** 2, axis=1), 2.0 * np.einsum("mkj,mk->mj", jac, r)
+    return r, jac
 
 
 def _descend(alpha: np.ndarray, amp: np.ndarray, partners, max_iter: int,
@@ -155,35 +160,55 @@ def _descend(alpha: np.ndarray, amp: np.ndarray, partners, max_iter: int,
     """Levenberg-Marquardt, batched over restarts: each step solves
     (J^T J + lambda I) s = -J^T r for every active restart and is kept only
     where it lowers R; lambda shrinks on a kept step, grows on a rejected
-    one.  A restart stops at R <= stop_tol or lambda > DAMPING_CAP."""
-    r, jac = _residual_terms(alpha, amp, partners, anchor)
+    one.  A restart stops at R <= stop_tol, at lambda > DAMPING_CAP, or when
+    a kept step lowers R by a relative FLOOR_FTOL or less (a floor above
+    zero).  The Jacobian is evaluated for kept steps only."""
+    tau = np.concatenate([tau for tau, _ in partners])
+    law = np.concatenate([law for _, law in partners])
+    r, jac = _residual_terms(alpha, amp, tau, law, anchor)
     value = np.sum(r ** 2, axis=1)
     damping = np.full(alpha.shape[0], DAMPING_START)
+    active = value > stop_tol
     eye = np.eye(alpha.shape[1])
     for _ in range(max_iter):
-        idx = np.flatnonzero((value > stop_tol) & (damping <= DAMPING_CAP))
+        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        jt = np.swapaxes(jac[idx], 1, 2)
-        normal = jt @ jac[idx] + damping[idx, None, None] * eye
+        jac_idx = jac[idx]
+        jt = np.swapaxes(jac_idx, 1, 2)
+        normal = jt @ jac_idx + damping[idx, None, None] * eye
         step = np.linalg.solve(normal, -(jt @ r[idx, :, None]))[..., 0]
         cand = alpha[idx] + step
-        cand_r, cand_jac = _residual_terms(cand, amp, partners, anchor)
+        cand_r = _residual_terms(cand, amp, tau, law, anchor, jacobian=False)
         cand_value = np.sum(cand_r ** 2, axis=1)
         ok = cand_value < value[idx]
         kept = idx[ok]
-        alpha[kept], value[kept] = cand[ok], cand_value[ok]
-        r[kept], jac[kept] = cand_r[ok], cand_jac[ok]
+        floor = value[kept] - cand_value[ok] <= FLOOR_FTOL * value[kept]
+        if kept.size:
+            alpha[kept], value[kept], r[kept] = cand[ok], cand_value[ok], cand_r[ok]
+            jac[kept] = _residual_terms(alpha[kept], amp, tau, law, anchor)[1]
         damping[idx] = np.maximum(
             damping[idx] * np.where(ok, DAMPING_SHRINK, DAMPING_GROW), DAMPING_FLOOR)
+        active[idx] = (value[idx] > stop_tol) & (damping[idx] <= DAMPING_CAP)
+        active[kept[floor]] = False
     return alpha, value
 
 
-def _phase_distance(a: np.ndarray, b: np.ndarray, amp: np.ndarray) -> float:
-    """Max circular phase gap over components that carry amplitude."""
-    mask = amp > ZERO_AMP
-    diff = _wrap_phase(a - b)
-    return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
+def _basins(cands: np.ndarray, first: np.ndarray, amp: np.ndarray) -> list:
+    """Representatives of the basins among ``first`` and the rows of
+    ``cands``, in that order: a row opens a new basin when its phases differ
+    from every representative so far by a circular gap above BASIN_GAP on
+    some component that carries amplitude."""
+    carried = amp > ZERO_AMP
+    basins = [first]
+    while True:
+        gap = np.abs(np.mod(cands[:, carried] - basins[-1][carried] + np.pi,
+                            2 * np.pi) - np.pi)
+        cands = cands[np.max(gap, axis=1, initial=0.0) > BASIN_GAP]
+        if not cands.shape[0]:
+            return basins
+        basins.append(cands[0])
+        cands = cands[1:]
 
 
 def retrieve_phases(law_a,
@@ -249,15 +274,11 @@ def retrieve_phases(law_a,
     # mean the conjugate/reflected pair, more mean the data underdetermine
     # the phases (expected with a single partner basis)
     tie = max(cfg.tol, best_val * 4.0 + 1e-15)
-    clusters = [best_alpha]
-    for i in np.argsort(values):
-        if float(values[i]) > tie:
-            break
-        cand = _wrap_phase(alphas[i])
-        cand[amp <= ZERO_AMP] = 0.0
-        cand[0] = 0.0
-        if all(_phase_distance(cand, known, amp) > 1e-3 for known in clusters):
-            clusters.append(cand)
+    order = np.argsort(values)
+    cands = _wrap_phase(alphas[order[:np.count_nonzero(values <= tie)]])
+    cands[:, amp <= ZERO_AMP] = 0.0
+    cands[:, 0] = 0.0
+    clusters = _basins(cands, best_alpha, amp)
     flag = ("unique", "conjugate-pair")[min(len(clusters) - 1, 1)] \
         if len(clusters) <= 2 else "underdetermined"
 

@@ -26,7 +26,7 @@ from .hilbert import (
     TransformMatrix,
     transform_between,
 )
-from .validation import check_integer as _integer
+from .validation import check_integer as _integer, check_real as _real
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,6 @@ def _instance(kind, what: str):
 
 def _list_of(read):
     return lambda v: tuple(map(read, _expect(v, isinstance(v, list), "a list")))
-
-
-def _real(v) -> float:
-    ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-    return float(_expect(v, ok and math.isfinite(v), "a finite number"))
 
 
 def _complex(v) -> complex:

@@ -7,6 +7,7 @@ structural invariant, and raises a descriptive error otherwise.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -103,3 +104,10 @@ def check_integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or abs(x) >= 2 ** 63:
         raise TypeError(f"expected an integer below 2**63, got {x!r}")
     return x
+
+
+def check_real(x) -> float:
+    """A finite JSON number: an int or a float, not a bool or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+        raise TypeError(f"expected a finite number, got {x!r}")
+    return float(x)

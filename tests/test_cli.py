@@ -248,9 +248,16 @@ def test_unknown_field_named_exit_code_2(tmp_path, capsys, command, name,
     ("block_size_n0", 4.5),
     ("n_total", 40.9),
     ("counts", {"a1": 30.5, "a2": 10}),
+    ("counts", [["a1", 30], ["a2", 10]]),
+    ("epsilon", "0.02"),
+    ("delta", "0.05"),
+    ("spectrum", [0, "a2"]),
+    ("spectrum", [None, "a2"]),
+    ("spectrum", "a1a2"),
 ], ids=["no_block_history", "counts_mismatch", "n_total_mismatch", "count_float",
         "count_bool", "count_string", "block_pairs", "n0_float", "n_total_float",
-        "declared_float"])
+        "declared_float", "counts_pairs", "epsilon_string", "delta_string",
+        "spectrum_int", "spectrum_null", "spectrum_string"])
 def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
     # a readable law with one field set to ``value`` (None: deleted); the
     # mismatched counts still sum to n_total, the table's 40 trials, and each

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfact import finprob, hilbert, reconstruct
 from qfact.errors import InconsistentLawsError, UnlinkedObservableError
@@ -7,9 +9,10 @@ from qfact.hilbert import OracleState, basis_observable, born_law, random_observ
 from qfact.reconstruct import (
     RetrievalConfig,
     StateReconstructor,
+    _basins,
     _descend,
-    _residual_and_grad,
     _residual_terms,
+    _wrap_phase,
     amplitudes_from_law,
     assemble_equivalent,
     predict_heldout,
@@ -92,11 +95,11 @@ def test_gauge_invariance_of_residual(rng):
     ref = basis_observable("A", 3)
     b = random_observable("B", 3, rng)
     amp = np.sqrt(born_law(psi, ref))
-    partners = [(transform_between(ref, b).entries, born_law(psi, b))]
+    tau, law = transform_between(ref, b).entries, born_law(psi, b)
     alpha = rng.uniform(-np.pi, np.pi, size=(1, 3))
-    r0, _ = _residual_and_grad(alpha, amp, partners)
+    r0 = np.sum(_residual_terms(alpha, amp, tau, law)[0] ** 2, axis=1)
     for offset in (0.3, -1.2, 2.9):
-        r_shift, _ = _residual_and_grad(alpha + offset, amp, partners)
+        r_shift = np.sum(_residual_terms(alpha + offset, amp, tau, law)[0] ** 2, axis=1)
         assert r_shift == pytest.approx(r0, rel=1e-9)
 
 
@@ -121,7 +124,7 @@ def test_descent_is_monotone(rng):
                 (transform_between(ref, c).entries, born_law(psi, c))]
     start = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(4, 4))
     start[:, 0] = 0.0
-    prev = _residual_and_grad(start, amp, partners)[0]
+    prev = _descend(start.copy(), amp, partners, 0, 0.0)[1]
     for iters in range(1, 40):
         _, value = _descend(start.copy(), amp, partners, iters, 0.0)
         assert np.all(value <= prev + 1e-18)
@@ -132,17 +135,24 @@ def test_descent_is_monotone(rng):
 def test_jacobian_matches_central_differences(dim):
     psi, ref, partners, _, laws, taus = oracle_setup(dim, 700 + dim, heldout=False)
     amp = np.sqrt(laws["A"])
-    pairs = [(taus[o.name].entries, laws[o.name]) for o in partners]
+    tau = np.concatenate([taus[o.name].entries for o in partners])
+    law = np.concatenate([laws[o.name] for o in partners])
     anchor = int(np.argmax(amp))
     alpha = np.random.default_rng(dim).uniform(-np.pi, np.pi, size=(3, dim))
-    r, jac = _residual_terms(alpha, amp, pairs, anchor)
-    value, grad = _residual_and_grad(alpha, amp, pairs, anchor)
-    assert value == pytest.approx(np.sum(r ** 2, axis=1), rel=1e-12)
+    r, jac = _residual_terms(alpha, amp, tau, law, anchor)
+    r_alone = _residual_terms(alpha, amp, tau, law, anchor, jacobian=False)
+    assert np.array_equal(r_alone, r)
+    # R = sum_k r_k^2, against the residual written out, and its gradient 2 J^T r
+    value, grad = np.sum(r ** 2, axis=1), 2.0 * np.einsum("mkj,mk->mj", jac, r)
+    coeff = amp * np.exp(1j * alpha)
+    direct = sum(np.sum((np.abs(coeff @ taus[o.name].entries.T) ** 2 - laws[o.name]) ** 2,
+                        axis=1) for o in partners)
+    assert value == pytest.approx(direct, rel=1e-12)
     h = 1e-6
     for j in range(dim):
         shift = np.zeros(dim)
         shift[j] = h
-        r_up, r_down = (_residual_terms(alpha + s, amp, pairs, anchor)[0]
+        r_up, r_down = (_residual_terms(alpha + s, amp, tau, law, anchor)[0]
                         for s in (shift, -shift))
         if j == anchor:
             assert np.all(jac[:, :, j] == 0.0) and np.all(grad[:, j] == 0.0)
@@ -150,6 +160,110 @@ def test_jacobian_matches_central_differences(dim):
         assert jac[:, :, j] == pytest.approx((r_up - r_down) / (2 * h), abs=1e-8)
         fd_grad = (np.sum(r_up ** 2, axis=1) - np.sum(r_down ** 2, axis=1)) / (2 * h)
         assert grad[:, j] == pytest.approx(fd_grad, abs=1e-8)
+
+
+def test_descent_stops_restarts_on_a_residual_floor():
+    # partner B1's law comes from another state, so no phases fit and every
+    # restart ends on a floor above zero; with no stop tolerance each one
+    # stops on the relative-reduction test well before iteration 45, so
+    # running on to 5000 iterations changes nothing
+    for s in range(5):
+        psi, ref, partners, _, laws, taus = oracle_setup(4, 4242 + s)
+        laws["B1"] = born_law(oracle_setup(4, 9999 + s)[0], partners[1])
+        amp = np.sqrt(laws["A"])
+        pairs = [(taus[o.name].entries, laws[o.name]) for o in partners]
+        anchor = int(np.argmax(amp))
+        start = np.random.default_rng(s).uniform(-np.pi, np.pi, size=(16, 4))
+        start[:, anchor] = 0.0
+        short, value = _descend(start.copy(), amp, pairs, 45, 0.0, anchor)
+        long, _ = _descend(start.copy(), amp, pairs, 5000, 0.0, anchor)
+        assert value.min() > 1e-3
+        assert np.array_equal(short, long)
+
+
+def _fit_outcome(laws, taus, tau_d, seed, tol):
+    """(ambiguity flag, held-out law) of a fit, or None when it raises."""
+    try:
+        est = StateReconstructor(reference="A", seed=seed, tol=tol).fit(
+            laws, list(taus.values()) + [tau_d])
+    except InconsistentLawsError:
+        return None
+    return est.report_.ambiguity_flag, est.predict(tau_d)
+
+
+def _assert_same_outcomes(cases, monkeypatch, tol):
+    # with FLOOR_FTOL = 0 the floor test never fires (a kept step always
+    # lowers R), which leaves the stop rule without it
+    floor = [_fit_outcome(*case) for case in cases]
+    monkeypatch.setattr(reconstruct, "FLOOR_FTOL", 0.0)
+    for got, want in zip(floor, [_fit_outcome(*case) for case in cases]):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            assert np.max(np.abs(got[1] - want[1])) <= tol
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_floor_stop_keeps_exact_fit_answers(dim, monkeypatch):
+    cases = []
+    for case in range(10):
+        psi, ref, _, heldout, laws, taus = oracle_setup(dim, 5000 * dim + case)
+        cases.append((laws, taus, transform_between(ref, heldout), case, 1e-10))
+    _assert_same_outcomes(cases, monkeypatch, 1e-12)
+
+
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_floor_stop_keeps_sampled_fit_answers(dim, monkeypatch):
+    n = 1_000_000
+    cases = []
+    for case in range(5):
+        psi, ref, _, heldout, exact, taus = oracle_setup(dim, 6000 * dim + case)
+        laws = {name: trial_generator(6000 * dim + case, i).multinomial(n, law / law.sum()) / n
+                for i, (name, law) in enumerate(exact.items())}
+        tol = RetrievalConfig.for_sampled_laws(n, 2 * dim).tol
+        cases.append((laws, taus, transform_between(ref, heldout), case, tol))
+    _assert_same_outcomes(cases, monkeypatch, 1e-6)
+
+
+def _basins_one_by_one(cands, first, amp):
+    """The per-candidate grouping loop _basins replaced, kept as its oracle."""
+    def distance(a, b):
+        mask = amp > reconstruct.ZERO_AMP
+        diff = _wrap_phase(a - b)
+        return float(np.max(np.abs(diff[mask]))) if mask.any() else 0.0
+    clusters = [first]
+    for cand in cands:
+        if all(distance(cand, known) > 1e-3 for known in clusters):
+            clusters.append(cand)
+    return clusters
+
+
+_phase = st.one_of(
+    st.sampled_from([-np.pi, np.pi, 0.0, np.pi - 4e-4, -np.pi + 4e-4]),
+    st.floats(-np.pi, np.pi))
+_jitter = st.sampled_from([0.0, 5e-4, -5e-4, 1e-3, -1e-3, 2e-3, -2e-3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_basins_match_per_candidate_loop(data):
+    # candidates scattered around a few centres, some of them at +-pi, by
+    # offsets on both sides of the 1e-3 basin gap; zero amplitudes ignored,
+    # all of them zero included
+    d = data.draw(st.integers(2, 5))
+    amp = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-13, 0.3, 1.0]),
+                                      min_size=d, max_size=d)))
+    centres = data.draw(st.lists(st.lists(_phase, min_size=d, max_size=d),
+                                 min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.tuples(st.integers(0, len(centres) - 1),
+                                        st.lists(_jitter, min_size=d, max_size=d)),
+                              max_size=12))
+    cands = _wrap_phase(np.array([np.add(centres[i], jitter) for i, jitter in rows],
+                                 dtype=float).reshape(len(rows), d))
+    first = np.array(centres[0], dtype=float)
+    got, want = _basins(cands, first, amp), _basins_one_by_one(cands, first, amp)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_single_partner_reports_conjugate_pair():
