@@ -112,10 +112,11 @@ class TwoWaveState:
 
     # genesis attachment protocol ------------------------------------------
 
-    def sample_position(self, rng, n_periods: int = 8) -> np.ndarray:
+    def sample_position(self, rng) -> np.ndarray:
         """One point of the fringe density from the positions stream of ``rng``."""
         gen = trial_generator(stream_seed(rng), _POSITIONS)
-        return np.array([0.0, 0.0, _sample_fringe(self, gen, 1, n_periods)[0]])
+        z = _sample_fringe(self, gen, 1, ExpConfig.z_periods)[0]
+        return np.array([0.0, 0.0, z])
 
     def momentum_at(self, r, t) -> np.ndarray:
         return guided_momentum(self)
@@ -214,6 +215,9 @@ def _sample_fringe(s: TwoWaveState, gen: np.random.Generator, n: int,
 # the two-layer trace experiment
 # --------------------------------------------------------------------------
 
+# histogram bins: direction over [-2 theta0, 2 theta0]; z at L2 per period
+DIRECTION_BINS, FRINGE_BINS_PER_PERIOD = 201, 20
+
 @dataclass(frozen=True)
 class ExpConfig:
     """Two-layer trace experiment settings.
@@ -230,8 +234,6 @@ class ExpConfig:
     n_trials: int = 10_000
     elastic_interactions_per_trial: int = 0
     z_periods: int = 8
-    direction_bins: int = 201
-    fringe_bins_per_period: int = 20
     lambda_scaling_factors: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
 
     def __post_init__(self):
@@ -338,10 +340,10 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     sigma_z = float(np.std(z0 - z0[0]))
 
     theta = s.theta0
-    dir_edges = np.linspace(-2.0 * theta, 2.0 * theta, cfg.direction_bins + 1)
+    dir_edges = np.linspace(-2.0 * theta, 2.0 * theta, DIRECTION_BINS + 1)
     lo, hi = s.fringe_window(cfg.z_periods)
     pad = 0.5 * s.fringe_period
-    n_fringe_bins = cfg.fringe_bins_per_period * (cfg.z_periods + 1)
+    n_fringe_bins = FRINGE_BINS_PER_PERIOD * (cfg.z_periods + 1)
     fringe_edges = np.linspace(lo - pad, hi + pad, n_fringe_bins + 1)
 
     lam_table = []

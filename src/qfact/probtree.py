@@ -15,6 +15,7 @@ from .reconstruct import law_vector
 from .seeding import stream_seed
 
 COMMUTE_TOL = 1e-10
+CONSISTENCY_TOL = 0.01  # largest max-abs deviation of a consistent prediction
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,8 @@ def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
                            trunk_only=len(groups) == 1)
 
 
-def meta_correlation(tree: ProbabilityTree, expansion, taus: list[TransformMatrix],
-                     consistency_tol: float = 0.01) -> MetaCorrelationRecord:
+def meta_correlation(tree: ProbabilityTree, expansion,
+                     taus: list[TransformMatrix]) -> MetaCorrelationRecord:
     """Fill the correlation record: laws of other observables predicted from
     the reference expansion through the basis transforms, compared with the
     measured crown laws by max absolute deviation.
@@ -134,7 +135,7 @@ def meta_correlation(tree: ProbabilityTree, expansion, taus: list[TransformMatri
                            for i, lab in enumerate(labels)},
             measured_law={lab: float(measured[i])
                           for i, lab in enumerate(labels)},
-            consistent=residual <= consistency_tol,
+            consistent=residual <= CONSISTENCY_TOL,
         ))
     tree.mpc = record
     return record

@@ -15,8 +15,8 @@ can turn into an exact fit.  A law set that admits no phase assignment
 (residual above tolerance after every restart) is rejected as not
 representable by any single state vector.
 
-``StateReconstructor`` wraps the procedure in a scikit-learn style
-fit/predict estimator so it composes with the wider ecosystem.
+``StateReconstructor`` wraps the procedure in a fit/predict estimator
+that holds one ``RetrievalConfig``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ DAMPING_FLOOR, DAMPING_CAP = 1e-15, 1e10
 # a kept step that lowers R by this relative amount or less ends its restart:
 # a restart heading for R = 0 converges geometrically and never gets this slow
 FLOOR_FTOL = 1e-8
+# a restart still descending after this many steps stops where it is
+MAX_ITER = 500
 # restarts whose phases differ by more than this are different basins
 BASIN_GAP = 1e-3
 
@@ -52,18 +54,22 @@ class RetrievalConfig:
     restarts: int = 32
     tol: float = 1e-10          # accept the fit when R falls at or below this
     stop_tol: float | None = None  # descend no further; None: tol * 1e-10
-    max_iter: int = 500
     seed: int = 0
 
     def __post_init__(self):
         if self.stop_tol is None:
             object.__setattr__(self, "stop_tol", self.tol * 1e-10)
+        if not (isinstance(self.restarts, (int, np.integer)) and self.restarts >= 1
+                and 0 < self.tol < np.inf and 0 <= self.stop_tol < np.inf):
+            raise ValueError("need an integer restarts >= 1, a finite tol > 0 and a "
+                             f"finite stop_tol >= 0, got {self.restarts!r}, "
+                             f"{self.tol!r}, {self.stop_tol!r}")
 
     @classmethod
-    def for_sampled_laws(cls, n_trials: int, n_terms: int, **kw) -> "RetrievalConfig":
+    def for_sampled_laws(cls, n_trials: int, n_terms: int) -> "RetrievalConfig":
         """Tolerance scaled to sampling noise: ten times the squared binomial
         sigma (at worst 1/(2 sqrt n)) summed over all residual terms."""
-        return cls(tol=10.0 * n_terms * 0.25 / n_trials, **kw)
+        return cls(tol=10.0 * n_terms * 0.25 / n_trials)
 
 
 @dataclass
@@ -122,8 +128,9 @@ def law_vector(law) -> np.ndarray:
     vec = np.asarray(law, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise EmptyLawError("law vector must be a non-empty 1-D array")
-    if abs(vec.sum() - 1.0) > 1e-8 or np.any(vec < 0):
-        raise ValueError("law vector must be a probability vector")
+    if not (np.isfinite(vec).all() and abs(vec.sum() - 1.0) <= 1e-8
+            and np.all(vec >= 0)):
+        raise ValueError("law vector must be a finite probability vector")
     return vec
 
 
@@ -255,8 +262,7 @@ def retrieve_phases(law_a,
         alpha0[1:] = rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, d))
     alpha0[:, anchor] = 0.0
 
-    alphas, values = _descend(alpha0, amp, partners, cfg.max_iter,
-                              cfg.stop_tol, anchor)
+    alphas, values = _descend(alpha0, amp, partners, MAX_ITER, cfg.stop_tol, anchor)
     # report in the standard gauge: first phase zero
     alphas = _wrap_phase(alphas - alphas[:, :1])
     best = int(np.argmin(values))
@@ -331,7 +337,7 @@ def predict_heldout(expansion: ExpansionSet, tau_to_c: TransformMatrix
 
 
 class StateReconstructor:
-    """Scikit-learn style estimator around the phase-retrieval pipeline.
+    """Fit/predict estimator around the phase-retrieval pipeline.
 
     fit() consumes measured laws plus reference-to-partner transforms and
     stores the reconstructed expansion; predict() maps a transform to the
@@ -341,35 +347,14 @@ class StateReconstructor:
     ----------
     reference : str or None
         Reference observable; defaults to the first key of the law map.
-    restarts, tol, stop_tol, max_iter, seed
-        Forwarded to :class:`RetrievalConfig`.
+    **settings
+        Fields of :class:`RetrievalConfig`, stored as ``config``; an unknown
+        one raises TypeError.
     """
 
-    def __init__(self, reference=None, restarts=32, tol=1e-10,
-                 stop_tol=None, max_iter=500, seed=0):
+    def __init__(self, reference=None, **settings):
         self.reference = reference
-        self.restarts = restarts
-        self.tol = tol
-        self.stop_tol = stop_tol
-        self.max_iter = max_iter
-        self.seed = seed
-
-    def get_params(self, deep=True):
-        return {"reference": self.reference, "restarts": self.restarts,
-                "tol": self.tol, "stop_tol": self.stop_tol,
-                "max_iter": self.max_iter, "seed": self.seed}
-
-    def set_params(self, **params):
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def _config(self) -> RetrievalConfig:
-        return RetrievalConfig(restarts=self.restarts, tol=self.tol,
-                               stop_tol=self.stop_tol, max_iter=self.max_iter,
-                               seed=self.seed)
+        self.config = RetrievalConfig(**settings)
 
     def fit(self, laws: dict, taus) -> "StateReconstructor":
         """Fit phases to the partner laws and assemble the expansion.
@@ -384,10 +369,9 @@ class StateReconstructor:
         tau_map = {t.target: t for t in taus if t.source == reference}
         partners = {name: law for name, law in laws.items() if name != reference}
         phases, report = retrieve_phases(laws[reference], partners, tau_map,
-                                         self._config())
+                                         self.config)
         self.expansion_ = assemble_equivalent(laws, phases, tau_map, reference)
         self.report_ = report
-        self.taus_ = tau_map
         return self
 
     def predict(self, tau: TransformMatrix) -> np.ndarray:

@@ -26,6 +26,7 @@ from .hilbert import (
     TransformMatrix,
     transform_between,
 )
+from .reconstruct import RetrievalConfig
 from .validation import check_integer as _integer, check_real as _real
 
 
@@ -84,14 +85,16 @@ class ReconstructionPlan:
     partners: tuple[str, ...]
     heldout: tuple[str, ...] = ()
     source: str = "exact"
-    restarts: int = 32
+    restarts: int = RetrievalConfig.restarts
     tol: float | None = None
     n: int | None = None
 
     def __post_init__(self):
-        given = [x for x in (self.restarts, self.tol, self.n) if x is not None]
-        if self.source not in ("exact", "sampled") or min(given) <= 0:
-            raise ValueError(f"bad source {self.source!r}, or restarts, tol or n <= 0")
+        if self.source not in ("exact", "sampled") or self.n is not None and self.n < 1:
+            raise ValueError(f"bad source {self.source!r}, or n <= 0")
+        # the retrieval's own checks of restarts and tol
+        RetrievalConfig(self.restarts,
+                        RetrievalConfig.tol if self.tol is None else self.tol)
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,19 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("exp", "trace_experiment", ("dbb", "plane_waves", "box"), "x"),
     ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_sampels"), 5),
     ("tree", "tree_two_level", ("reconstrution",), {"reference": "A"}),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "restarts"), 0),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "tol"), 0),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "tol"), -1e-3),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction",),
+     {"reference": "A", "partners": ["B", "C"], "source": "sampled", "n": 0}),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "source"),
+     "measured"),
 ], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
         "n_type", "segment_type", "n_samples_type", "sampling_type",
         "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
         "v12_underflow", "m0_underflow", "seed_type", "seed_bool", "unused_section",
-        "misspelt_field", "misspelt_section"])
+        "misspelt_field", "misspelt_section", "restarts_zero", "tol_zero",
+        "tol_negative", "sampled_n_zero", "source_measured"])
 def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
     # a shipped scenario with one field set to ``value`` (None: deleted);

@@ -15,6 +15,7 @@ from qfact.reconstruct import (
     _wrap_phase,
     amplitudes_from_law,
     assemble_equivalent,
+    law_vector,
     predict_heldout,
     retrieve_phases,
 )
@@ -55,7 +56,28 @@ def test_amplitudes_from_counted_law():
     assert np.sum(amp ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("vec", [[np.nan, 0.5], [0.5, 0.5, np.nan],
+                                 [np.inf, 0.5], [np.nan, np.inf],
+                                 [0.5, 0.5, -np.inf]])
+def test_law_vector_rejects_non_finite_entries(vec):
+    with pytest.raises(ValueError):
+        law_vector(np.array(vec))
+    with pytest.raises(ValueError):
+        retrieve_phases(np.array(vec), {"B": [0.5, 0.5]},
+                        {"B": hilbert.TransformMatrix("A", "B", np.eye(len(vec)))})
+
+
 # --- phase retrieval --------------------------------------------------------
+
+@pytest.mark.parametrize("settings", [
+    {"restarts": 0}, {"restarts": -1}, {"restarts": 2.0},
+    {"tol": 0.0}, {"tol": -1e-3}, {"tol": np.nan}, {"tol": np.inf},
+    {"stop_tol": -1e-30}, {"stop_tol": np.nan}, {"stop_tol": np.inf},
+])
+def test_retrieval_config_rejects_bad_settings(settings):
+    with pytest.raises(ValueError):
+        RetrievalConfig(**settings)
+
 
 def test_dim2_complex_state_recovered_to_high_fidelity():
     psi = OracleState(np.array([1.0, 1.0j]) / np.sqrt(2))
@@ -394,16 +416,11 @@ def test_heldout_law_recovered_where_descent_stalled(dim, case):
 
 # --- estimator API ----------------------------------------------------------
 
-def test_estimator_get_set_params():
-    est = StateReconstructor(restarts=8)
-    params = est.get_params()
-    assert params["restarts"] == 8
-    est.set_params(restarts=16, tol=1e-8)
-    assert est.restarts == 16 and est.tol == 1e-8
-    clone = StateReconstructor(**est.get_params())
-    assert clone.get_params() == est.get_params()
-    with pytest.raises(ValueError):
-        est.set_params(bogus=1)
+def test_estimator_holds_one_retrieval_config():
+    assert StateReconstructor(restarts=8, tol=1e-8).config == \
+        RetrievalConfig(restarts=8, tol=1e-8)
+    with pytest.raises(TypeError):
+        StateReconstructor(bogus=1)
 
 
 def test_estimator_requires_fit_before_predict():
