@@ -32,6 +32,7 @@ from .genesis import (
     generate,
     mes_coding_guided,
     mes_coding_nc,
+    run_laws,
     run_successions,
     time_of_flight,
 )
@@ -44,7 +45,6 @@ from .hilbert import (
     compose_superposition,
     dirac_transform,
     evolve,
-    sample_outcome,
     transform_between,
 )
 from .probtree import CompatibilityGroup, MetaCorrelationRecord, ProbabilityTree, build_tree, meta_correlation, partition_branches

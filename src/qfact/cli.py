@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from . import dbb, finprob, scenario
 from .errors import QfactError, ScenarioError
-from .genesis import resolve_state, run_successions
+from .genesis import resolve_state, run_laws
 from .hilbert import born_law
 from .probtree import build_tree
 from .reconstruct import RetrievalConfig, StateReconstructor, predict_heldout
@@ -48,17 +49,8 @@ def _hist_csv(hist: dbb.Histogram1D) -> str:
 
 
 def _verdict_doc(law, verdict) -> dict:
-    return {
-        "stable": verdict.stable,
-        "per_label_fraction_within_epsilon":
-            verdict.per_label_fraction_within_epsilon,
-        "worst_deviation": verdict.worst_deviation,
-        "pooled_frequencies": verdict.pooled_frequencies,
-        "epsilon": law.epsilon,
-        "delta": law.delta,
-        "block_size_n0": law.block_size_n0,
-        "n_complete_blocks": verdict.n_complete_blocks,
-    }
+    return {**dataclasses.asdict(verdict), "epsilon": law.epsilon,
+            "delta": law.delta, "block_size_n0": law.block_size_n0}
 
 
 # --------------------------------------------------------------------------
@@ -116,10 +108,8 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
     else:
         meas = scn.section("measurement")
         n = meas.n if plan.n is None else plan.n
-        laws = {name: run_successions(
-            recipe, scn.observable(name), n, meas.epsilon, meas.delta,
-            meas.block_size, scn.seed, trial_offset=idx * n)
-            for idx, name in enumerate(names)}
+        laws = run_laws(recipe, [scn.observable(name) for name in names], n,
+                        meas.epsilon, meas.delta, meas.block_size, scn.seed)
         cfg = RetrievalConfig.for_sampled_laws(
             n, sum(scn.observable(p).dim for p in plan.partners))
     tol = cfg.tol if plan.tol is None else plan.tol

@@ -27,7 +27,6 @@ from .hilbert import (
     born_law,
     compose_superposition,
     evolve,
-    sample_outcome,
 )
 from .seeding import block_table, stream_seed
 from .validation import check_rng
@@ -152,12 +151,8 @@ def generate(g: GenerationOp, rng) -> Specimen:
 def mes_coding_nc(s: Specimen, obs: ObservableSpec, rng, trial_id: int = 0
                   ) -> CodedOutcome:
     """Non-composed coding measurement: marks registered in region j code
-    the eigenvalue with the same index."""
-    s._consume()
-    j = sample_outcome(s.hidden_state, obs, rng)
-    return CodedOutcome(observable=obs.name, eigen_index=j,
-                        eigenvalue=float(obs.eigenvalues[j]),
-                        region_index=j, trial_id=trial_id)
+    the eigenvalue with the same index: the one-factor complete measurement."""
+    return mes_complete(s, [obs], rng, trial_id)[0]
 
 
 def mes_coding_guided(s: Specimen, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -211,6 +206,14 @@ def time_of_flight(x_n, t_n: float, t0: float, m: float, origin=None
     return m * (x - o) / (t_n - t0)
 
 
+def _draw_law(labels, probs, n, eps, delta, n0, rng, trial_offset):
+    """Law of n successions on the outcome law ``probs``: both runners' draw."""
+    if n < 1:
+        raise ValueError("need at least one succession")
+    table = block_table(stream_seed(rng), trial_offset, probs, n, n0)
+    return finprob.FactualLaw(labels, table, n0, eps, delta)
+
+
 def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
                     eps: float, delta: float, n0: int, rng,
                     trial_offset: int = 0) -> finprob.FactualLaw:
@@ -223,11 +226,19 @@ def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
     built from one seed its own offset.  ``rng`` takes an integer seed or a
     numpy Generator, which only supplies the seed.
     """
-    if n < 1:
-        raise ValueError("need at least one succession")
-    law_vec = born_law(resolve_state(g), obs)
-    table = block_table(stream_seed(rng), trial_offset, law_vec, n, n0)
-    return finprob.FactualLaw(obs.labels(), table, n0, eps, delta)
+    return _draw_law(obs.labels(), born_law(resolve_state(g), obs), n, eps,
+                     delta, n0, rng, trial_offset)
+
+
+def run_laws(g: GenerationOp, observables, n: int, eps: float, delta: float,
+             n0: int, rng) -> dict[str, finprob.FactualLaw]:
+    """One law of n successions per observable, keyed by name: observable k's
+    from :func:`run_successions` on stream k*n of the one seed that ``rng``
+    supplies (an integer seed, or a Generator that supplies it in one draw)."""
+    seed = stream_seed(rng)
+    return {obs.name: run_successions(g, obs, n, eps, delta, n0, seed,
+                                      trial_offset=k * n)
+            for k, obs in enumerate(observables)}
 
 
 def run_complete_successions(g: MultiSystem, obs_list, n: int,
@@ -241,14 +252,10 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
     per factor summed from the joint block table.  ``rng`` takes an integer
     seed or a Generator, as in :func:`run_successions`.
     """
-    if n < 1:
-        raise ValueError("need at least one succession")
     joint_law, dims = _joint_law(resolve_state(g), obs_list)
     joint_name = "*".join(o.name for o in obs_list)
-    joint = finprob.FactualLaw(
-        [f"{joint_name}:{k}" for k in range(prod(dims))],
-        block_table(stream_seed(rng), trial_offset, joint_law, n, n0),
-        n0, eps, delta)
+    joint = _draw_law([f"{joint_name}:{k}" for k in range(joint_law.size)],
+                      joint_law, n, eps, delta, n0, rng, trial_offset)
     # factor i's block table: the joint table summed over the other factors
     per_factor = joint.blocks.reshape(-1, *dims)
     marginals = [

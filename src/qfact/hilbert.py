@@ -2,8 +2,8 @@
 
 States, observables with non-degenerate spectra, basis-change transforms,
 unitary evolution, and superposition composition.  Everything is immutable
-after construction and every operation is pure except ``sample_outcome``,
-which takes an explicit RNG handle.
+after construction and every operation is pure; the random construction
+helpers draw only from the RNG handle they are given.
 """
 
 from __future__ import annotations
@@ -123,11 +123,7 @@ class HamiltonianSpec:
 
 def born_law(state: OracleState, obs: ObservableSpec) -> np.ndarray:
     """Outcome probabilities |<u_j|psi>|^2."""
-    if state.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"state dim {state.dim} vs observable dim {obs.dim}")
-    proj = obs.eigenbasis.conj().T @ state.amplitudes
-    return np.abs(proj) ** 2
+    return np.abs(coefficients(state, obs)) ** 2
 
 
 def coefficients(state: OracleState, obs: ObservableSpec) -> np.ndarray:
@@ -136,14 +132,6 @@ def coefficients(state: OracleState, obs: ObservableSpec) -> np.ndarray:
         raise DimensionMismatchError(
             f"state dim {state.dim} vs observable dim {obs.dim}")
     return obs.eigenbasis.conj().T @ state.amplitudes
-
-
-def sample_outcome(state: OracleState, obs: ObservableSpec, rng) -> int:
-    """Draw one eigenvalue index from the Born law with ``Generator.choice``.
-    The law is normalized first: a validated state and eigenbasis give a
-    sum of 1 only within about 1e-10."""
-    p = born_law(state, obs)
-    return int(check_rng(rng).choice(p.size, p=p / p.sum()))
 
 
 def dirac_transform(coeffs, tau: TransformMatrix) -> np.ndarray:

@@ -9,10 +9,9 @@ import numpy as np
 
 from . import finprob
 from .errors import UnlinkedObservableError
-from .genesis import GenerationOp, run_successions
-from .hilbert import ObservableSpec, TransformMatrix, commutator_norm, dirac_transform
-from .reconstruct import law_vector
-from .seeding import stream_seed
+from .genesis import GenerationOp, run_laws
+from .hilbert import ObservableSpec, TransformMatrix, commutator_norm
+from .reconstruct import law_vector, predict_heldout
 
 COMMUTE_TOL = 1e-10
 CONSISTENCY_TOL = 0.01  # largest max-abs deviation of a consistent prediction
@@ -85,18 +84,14 @@ def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
     branches.  Guided-coding scenarios read every quantity off one trace, so
     the tree degenerates to a single trunk regardless of commutation.
 
-    ``rng`` takes an integer seed or a numpy Generator, which only supplies
-    the seed.  Observable k's law is drawn from stream k*n of that seed
-    (see :func:`genesis.run_successions`), so each observable has its own.
+    The laws come from :func:`genesis.run_laws`: observable k's from
+    stream k*n of the seed that ``rng`` supplies.
     """
     if guided:
         groups = [CompatibilityGroup(tuple(o.name for o in observables))]
     else:
         groups = partition_branches(observables)
-    seed = stream_seed(rng)
-    laws = {obs.name: run_successions(g, obs, n, eps, delta, n0, seed,
-                                      trial_offset=k * n)
-            for k, obs in enumerate(observables)}
+    laws = run_laws(g, observables, n, eps, delta, n0, rng)
     branches = [(grp, {name: laws[name] for name in grp.members})
                 for grp in groups]
     return ProbabilityTree(trunk=g.id, branches=branches,
@@ -114,7 +109,6 @@ def meta_correlation(tree: ProbabilityTree, expansion,
     sits on one branch of the tree.
     """
     ref = expansion.reference_observable
-    coeffs = expansion.coefficients(ref)
     tau_by_target = {t.target: t for t in taus if t.source == ref}
     record = MetaCorrelationRecord()
     for name in tree.observable_names():
@@ -123,7 +117,7 @@ def meta_correlation(tree: ProbabilityTree, expansion,
         if name not in tau_by_target:
             raise UnlinkedObservableError(
                 f"no transform from {ref!r} to {name!r}")
-        predicted = np.abs(dirac_transform(coeffs, tau_by_target[name])) ** 2
+        predicted = predict_heldout(expansion, tau_by_target[name])
         law = tree.law_for(name)
         measured = law_vector(law)
         labels = (list(law.spectrum) if isinstance(law, finprob.FactualLaw)

@@ -263,13 +263,13 @@ def retrieve_phases(law_a,
     alpha0[:, anchor] = 0.0
 
     alphas, values = _descend(alpha0, amp, partners, MAX_ITER, cfg.stop_tol, anchor)
-    # report in the standard gauge: first phase zero
-    alphas = _wrap_phase(alphas - alphas[:, :1])
-    best = int(np.argmin(values))
-    best_alpha = alphas[best].copy()
-    best_alpha[amp <= ZERO_AMP] = 0.0
-    best_alpha[0] = 0.0
-    best_val = float(values[best])
+    # best first, in the standard gauge: first phase 0, and 0 where no amplitude
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    alphas = _wrap_phase(alphas[order] - alphas[order, :1])
+    alphas[:, amp <= ZERO_AMP] = 0.0
+    alphas[:, 0] = 0.0
+    best_val = float(values[0])
 
     if best_val > cfg.tol:
         raise InconsistentLawsError(
@@ -280,11 +280,7 @@ def retrieve_phases(law_a,
     # mean the conjugate/reflected pair, more mean the data underdetermine
     # the phases (expected with a single partner basis)
     tie = max(cfg.tol, best_val * 4.0 + 1e-15)
-    order = np.argsort(values)
-    cands = _wrap_phase(alphas[order[:np.count_nonzero(values <= tie)]])
-    cands[:, amp <= ZERO_AMP] = 0.0
-    cands[:, 0] = 0.0
-    clusters = _basins(cands, best_alpha, amp)
+    clusters = _basins(alphas[1:np.count_nonzero(values <= tie)], alphas[0], amp)
     flag = ("unique", "conjugate-pair")[min(len(clusters) - 1, 1)] \
         if len(clusters) <= 2 else "underdetermined"
 
@@ -293,7 +289,7 @@ def retrieve_phases(law_a,
                              ambiguity_flag=flag,
                              alternate_phases=clusters[1] if len(clusters) > 1
                              else None)
-    return best_alpha, report
+    return alphas[0], report
 
 
 def assemble_equivalent(law_map: dict,

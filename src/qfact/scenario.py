@@ -40,6 +40,8 @@ class MeasurementPlan:
     guided: bool = False
 
     def __post_init__(self):
+        if not self.observables or len(set(self.observables)) < len(self.observables):
+            raise ValueError(f"need distinct observables, got {list(self.observables)}")
         if self.n < 1:
             raise ValueError("n must be positive")
         # the laws' own checks of epsilon, delta and block_size
@@ -90,6 +92,10 @@ class ReconstructionPlan:
     n: int | None = None
 
     def __post_init__(self):
+        fit, held = (self.reference, *self.partners), self.heldout
+        if len(fit) < 2 or len(set(fit)) < len(fit) or len(set(held)) < len(held):
+            raise ValueError(f"need partners, distinct and not the reference, and "
+                             f"distinct heldout, got {self.partners}, {held}")
         if self.source not in ("exact", "sampled") or self.n is not None and self.n < 1:
             raise ValueError(f"bad source {self.source!r}, or n <= 0")
         # the retrieval's own checks of restarts and tol
@@ -211,8 +217,12 @@ def _transforms(doc, scn: Scenario) -> dict:
     for e in reversed(_list_of(_object)(doc)):  # the first declared wins
         e = _fields(e, source=_string, target=_string, entries=_complex_matrix)
         src, tgt = e["source"], e["target"]
-        out[src, tgt] = scn.transform(src, tgt) if "entries" not in e else \
+        tau = scn.transform(src, tgt) if "entries" not in e else \
             TransformMatrix(src, tgt, e["entries"])
+        if {tau.dim} != {scn.observable(src).dim, scn.observable(tgt).dim}:
+            raise ValueError(f"transform {src!r} -> {tgt!r} has dim {tau.dim}, "
+                             "unlike its observables")
+        out[src, tgt] = tau
     return out
 
 

@@ -186,12 +186,26 @@ SEGMENT = ("stability", "sampling", "segments", 0)
      {"reference": "A", "partners": ["B", "C"], "source": "sampled", "n": 0}),
     ("reconstruct", "reconstruct_two_level", ("reconstruction", "source"),
      "measured"),
+    ("tree", "tree_two_level", ("measurement", "observables"), []),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "partners"), []),
+    ("tree", "tree_two_level", ("measurement", "observables"), ["A", "B", "A"]),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "partners"),
+     ["B", "B"]),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "partners"),
+     ["C", "A"]),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "heldout"),
+     ["B", "B"]),
+    ("reconstruct", "reconstruct_two_level", ("transforms",),
+     [{"source": "A", "target": "B",  # a unitary of dim 3 between dim-2 observables
+       "entries": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}]),
 ], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
         "n_type", "segment_type", "n_samples_type", "sampling_type",
         "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
         "v12_underflow", "m0_underflow", "seed_type", "seed_bool", "unused_section",
         "misspelt_field", "misspelt_section", "restarts_zero", "tol_zero",
-        "tol_negative", "sampled_n_zero", "source_measured"])
+        "tol_negative", "sampled_n_zero", "source_measured", "observables_empty",
+        "partners_empty", "observables_repeated", "partners_repeated",
+        "partners_reference", "heldout_repeated", "transform_size"])
 def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
     # a shipped scenario with one field set to ``value`` (None: deleted);
@@ -413,6 +427,16 @@ def test_reconstruct_exact_pipeline(tmp_path):
     assert predicted["B:0"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_reconstruct_heldout_may_name_reference_and_partners(tmp_path):
+    doc = json.loads((SCENARIOS / "reconstruct_two_level.json").read_text())
+    doc["reconstruction"]["heldout"] = ["A", "B", "C"]
+    assert cli.main(["reconstruct", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+    for name in "ABC":
+        predicted = json.loads((tmp_path / "out" / f"predicted_{name}.json").read_text())
+        assert predicted[f"{name}:0"] == pytest.approx(0.5, abs=1e-9)
+
+
 def test_reconstruct_sampled_pipeline(tmp_path):
     doc = dict(TWO_LEVEL, seed=7,
                states={"psi": [[RT2, 0.0], [0.0, RT2]]},
@@ -588,7 +612,7 @@ def test_shipped_scenario_bytes_pinned(tmp_path, command, name):
     assert manifest["outputs"] == SHIPPED_CHECKSUMS[(command, name)]
 
 
-# every leaf of a shipped scenario set to each of these values in turn
+# every leaf and list of a shipped scenario set to each of these values in turn
 MUTANTS = ("x", -1, None, [], {}, 0, 1e300, 1e-300, True)
 # heavy counts of the shipped scenarios, cut before any mutation
 SHRUNK = {("measurement", "n"): 20_000, ("dbb", "exp", "n_trials"): 500,
@@ -600,21 +624,23 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _leaf_paths(node, path=()):
-    """Paths to the leaves of a JSON document; a list of numbers (a complex
-    pair, eigenvalues, a momentum) is one leaf."""
+def _mutant_paths(node, path=()):
+    """Paths to the leaves and the lists of a JSON document, each list before
+    its items; a list of numbers (a complex pair, eigenvalues, a momentum) is
+    one leaf."""
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list) and not all(map(_is_number, node)):
+        yield path
         items = enumerate(node)
     else:
         yield path
         return
     for key, child in items:
-        yield from _leaf_paths(child, path + (key,))
+        yield from _mutant_paths(child, path + (key,))
 
 
-def _set_leaf(doc, path, value):
+def _set_path(doc, path, value):
     *outer, key = path
     for part in outer:
         doc = doc[part]
@@ -627,15 +653,15 @@ def test_scenario_mutations_exit_cleanly(tmp_path, capsys, command, name):
     # no shipped scenario has an inline law, so a 3-block one is swept too
     base = identical_blocks_doc(3) if name == "inline_law" else \
         json.loads((SCENARIOS / f"{name}.json").read_text())
-    leaves = list(_leaf_paths(base))
+    paths = list(_mutant_paths(base))
     for path, value in SHRUNK.items():
-        if path in leaves:
-            _set_leaf(base, path, value)
+        if path in paths:
+            _set_path(base, path, value)
     failures = []
-    for path in leaves:
+    for path in paths:
         for value in MUTANTS:
             doc = copy.deepcopy(base)
-            _set_leaf(doc, path, value)
+            _set_path(doc, path, value)
             scn_path = write_scenario(tmp_path, doc)
             try:
                 code = cli.main([command, "--scenario", scn_path,

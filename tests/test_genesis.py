@@ -17,11 +17,12 @@ from qfact.genesis import (
     mes_complete,
     resolve_state,
     run_complete_successions,
+    run_laws,
     run_successions,
     time_of_flight,
 )
 from qfact.hilbert import OracleState, born_law, compose_superposition, random_observable, random_state
-from qfact.seeding import block_table
+from qfact.seeding import block_table, stream_seed
 
 
 def two_wave_fixture():
@@ -217,6 +218,36 @@ def test_run_successions_keyed_by_seed_and_offset():
     assert law(99, 5_000) == law(99, 5_000)
     assert law(99, 5_000) != law(99, 0)
     assert law(100, 0) != law(99, 0)
+
+
+def test_one_factor_runs_are_the_complete_measurement_runs():
+    # mes_coding_nc and run_successions are the one-factor cases of
+    # mes_complete and run_complete_successions, draw for draw
+    setup = np.random.default_rng(41)
+    psi, obs = random_state(3, setup), random_observable("A", 3, setup)
+    g = MultiSystem("G", joint_state=psi, factor_dims=(3,), factor_labels=("S1",))
+    g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
+    coded = [mes_coding_nc(generate(g, g1), obs, g1, trial_id=t) for t in range(200)]
+    assert coded == [mes_complete(generate(g, g2), [obs], g2, trial_id=t)[0]
+                     for t in range(200)]
+    assert len({c.eigen_index for c in coded}) == 3
+    law = run_successions(g, obs, 25_000, 0.02, 0.05, 1_000, 17, trial_offset=3)
+    joint, (marginal,) = run_complete_successions(g, [obs], 25_000, 0.02, 0.05,
+                                                  1_000, 17, trial_offset=3)
+    assert joint == law and marginal == law
+
+
+def test_run_laws_draws_observable_k_from_stream_k_n():
+    setup = np.random.default_rng(42)
+    psi = random_state(3, setup)
+    obs = [random_observable(name, 3, setup) for name in "ABC"]
+    g, n = Simple("G", state=psi), 4_000
+    laws = run_laws(g, obs, n, 0.02, 0.05, 500, np.random.default_rng(8))
+    seed = stream_seed(np.random.default_rng(8))
+    assert list(laws) == ["A", "B", "C"]
+    for k, o in enumerate(obs):
+        assert laws[o.name] == run_successions(g, o, n, 0.02, 0.05, 500, seed,
+                                               trial_offset=k * n)
 
 
 # --- block_table ------------------------------------------------------------

@@ -18,9 +18,9 @@ from qfact.hilbert import (
     random_observable,
     random_state,
     random_unitary,
-    sample_outcome,
     transform_between,
 )
+from qfact.genesis import Specimen, mes_coding_nc
 
 
 def born_law_oracle(state_amps, eigenbasis):
@@ -73,10 +73,15 @@ def test_born_law_in_unit_interval_and_normalized(seed, dim):
 
 # --- sampling ---------------------------------------------------------------
 
+def measure_once(psi, obs, rng) -> int:
+    """One coding measurement of a fresh specimen of psi: the coded index."""
+    return mes_coding_nc(Specimen(psi), obs, rng).eigen_index
+
+
 def test_sample_eigenstate_always_its_index(rng):
     obs = random_observable("A", 3, rng)
     psi = OracleState(obs.eigenbasis[:, 2])
-    assert all(sample_outcome(psi, obs, np.random.default_rng(k)) == 2
+    assert all(measure_once(psi, obs, np.random.default_rng(k)) == 2
                for k in range(20))
 
 
@@ -84,7 +89,7 @@ def test_sample_balanced_within_three_sigma(std_basis_2):
     psi = OracleState(np.array([1, 1]) / np.sqrt(2))
     n = 100_000
     gen = np.random.default_rng(2718)
-    hits = sum(sample_outcome(psi, std_basis_2, gen) for _ in range(n))
+    hits = sum(measure_once(psi, std_basis_2, gen) for _ in range(n))
     sigma = np.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * sigma
 
@@ -93,8 +98,8 @@ def test_sampling_deterministic_for_fixed_seed(rng):
     psi = random_state(4, rng)
     obs = random_observable("A", 4, rng)
     g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
-    seq_a = [sample_outcome(psi, obs, g1) for _ in range(50)]
-    seq_b = [sample_outcome(psi, obs, g2) for _ in range(50)]
+    seq_a = [measure_once(psi, obs, g1) for _ in range(50)]
+    seq_b = [measure_once(psi, obs, g2) for _ in range(50)]
     assert seq_a == seq_b
 
 

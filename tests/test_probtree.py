@@ -3,7 +3,7 @@ import pytest
 
 from qfact import finprob, hilbert, probtree, reconstruct
 from qfact.errors import UnlinkedObservableError
-from qfact.genesis import Simple
+from qfact.genesis import Simple, run_laws
 from qfact.hilbert import ObservableSpec, OracleState, basis_observable, born_law, random_observable, random_state, transform_between
 from qfact.probtree import build_tree, meta_correlation, partition_branches
 
@@ -90,6 +90,16 @@ def test_branch_law_depends_only_on_slot_not_on_companions(abc_observables):
     pair = build_tree(g, [a, c], 5_000, 0.02, 0.05, 1_000, 31)
     alone = build_tree(g, [a], 5_000, 0.02, 0.05, 1_000, 31)
     assert pair.law_for("A") == alone.law_for("A")
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_tree_laws_are_run_laws(abc_observables, guided):
+    g = Simple("G", state=OracleState(np.array([0.8, 0.6j])))
+    tree = build_tree(g, list(abc_observables), 5_000, 0.02, 0.05, 500,
+                      np.random.default_rng(12), guided=guided)
+    laws = run_laws(g, list(abc_observables), 5_000, 0.02, 0.05, 500,
+                    np.random.default_rng(12))
+    assert {name: tree.law_for(name) for name in tree.observable_names()} == laws
 
 
 def test_tree_bit_identical_for_same_seed(abc_observables):
