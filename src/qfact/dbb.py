@@ -106,7 +106,7 @@ class TwoWaveState:
                 * (np.asarray(x) * math.sin(self.theta0) / self.V - np.asarray(t))
                 + self.delta_phase / 2.0)
 
-    def fringe_window(self, n_periods: int = 8) -> tuple[float, float]:
+    def fringe_window(self, n_periods: int) -> tuple[float, float]:
         half = 0.5 * n_periods * self.fringe_period
         return (-half, half)
 
@@ -122,7 +122,7 @@ class TwoWaveState:
         return guided_momentum(self)
 
 
-def amplitude(s: TwoWaveState, z, t: float = 0.0) -> np.ndarray:
+def amplitude(s: TwoWaveState, z) -> np.ndarray:
     """Wave amplitude sqrt(2) cos(chi z + delta/2); stationary in time."""
     return np.sqrt(2.0) * np.cos(s.chi * np.asarray(z, dtype=float)
                                  + s.delta_phase / 2.0)

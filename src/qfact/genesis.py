@@ -126,12 +126,12 @@ class CodedOutcome:
     observable: str
     eigen_index: int
     eigenvalue: float
-    region_index: int
     trial_id: int = 0
 
-    def __post_init__(self):
-        if self.region_index != self.eigen_index:
-            raise ValueError("coding map is the identity on indices")
+    @property
+    def region_index(self) -> int:
+        """The region the marks landed in: the coding map is the identity."""
+        return self.eigen_index
 
     @property
     def label(self) -> str:
@@ -189,21 +189,18 @@ def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
                                      p=joint_law / joint_law.sum()))
     parts = np.unravel_index(flat, dims)
     return [CodedOutcome(observable=o.name, eigen_index=int(j),
-                         eigenvalue=float(o.eigenvalues[int(j)]),
-                         region_index=int(j), trial_id=trial_id)
+                         eigenvalue=float(o.eigenvalues[int(j)]), trial_id=trial_id)
             for o, j in zip(obs_list, parts)]
 
 
-def time_of_flight(x_n, t_n: float, t0: float, m: float, origin=None
-                   ) -> np.ndarray:
-    """Momentum from an impact point and its flight time: m * d / (t_n - t0)."""
+def time_of_flight(x_n, t_n: float, t0: float, m: float) -> np.ndarray:
+    """Momentum m * x_n / (t_n - t0) of a corpuscle of mass m that left the
+    origin at t0 and marked the impact point x_n at t_n."""
     if t_n <= t0:
         raise ValueError("flight time must be positive")
     if m <= 0:
         raise ValueError("mass must be positive")
-    x = np.asarray(x_n, dtype=float)
-    o = np.zeros_like(x) if origin is None else np.asarray(origin, dtype=float)
-    return m * (x - o) / (t_n - t0)
+    return m * np.asarray(x_n, dtype=float) / (t_n - t0)
 
 
 def _draw_law(labels, probs, n, eps, delta, n0, rng, trial_offset):

@@ -21,9 +21,6 @@ CONSISTENCY_TOL = 0.01  # largest max-abs deviation of a consistent prediction
 class CompatibilityGroup:
     members: tuple[str, ...]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.members
-
 
 @dataclass
 class MetaCorrelationPair:

@@ -102,8 +102,9 @@ class ExpansionSet:
                 raise ValueError(
                     f"amplitudes for {name!r} must have unit square sum, got {total!r}")
 
-    def coefficients(self, name: str | None = None) -> np.ndarray:
-        name = self.reference_observable if name is None else name
+    def coefficients(self) -> np.ndarray:
+        """The reference observable's complex coefficients."""
+        name = self.reference_observable
         return self.amplitudes[name] * np.exp(1j * self.phases[name])
 
     def to_json_dict(self) -> dict:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dbb, finprob
-from .errors import ScenarioError
+from .errors import DimensionMismatchError, ScenarioError
 from .genesis import Composed, Evolved, GenerationOp, MultiSystem, Simple
 from .hilbert import (
     HamiltonianSpec,
@@ -141,13 +141,15 @@ class Scenario:
 
 @contextmanager
 def _reading(where: str):
-    """Error boundary of one section or field: a malformed value becomes a
-    ScenarioError prefixed with ``where``; other QfactErrors pass through."""
+    """Error boundary of one section or field: a malformed value or mismatched
+    dimensions become a ScenarioError prefixed with ``where``; other
+    QfactErrors pass through."""
     try:
         yield
     except KeyError as exc:
         raise ScenarioError(f"{where}: missing or unknown {exc}") from None
-    except (ScenarioError, TypeError, ValueError, ArithmeticError, OSError) as exc:
+    except (ScenarioError, DimensionMismatchError, TypeError, ValueError,
+            ArithmeticError, OSError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
@@ -239,6 +241,18 @@ def _stability(doc, scn: Scenario):
     raise ValueError("needs 'law', 'law_json' or 'sampling'")
 
 
+def _reconstruction(doc, scn: Scenario) -> ReconstructionPlan:
+    name = _observable_name(scn)
+    plan = ReconstructionPlan(**_fields(
+        doc, reference=name, partners=_list_of(name), heldout=_list_of(name),
+        source=_string, restarts=_integer, tol=_real, n=_integer))
+    names = (plan.reference, *plan.partners, *plan.heldout)
+    dims = {n: scn.observable(n).dim for n in names}
+    if len(set(dims.values())) > 1:
+        raise DimensionMismatchError(f"observables of different dimensions: {dims}")
+    return plan
+
+
 def _two_wave(doc, scn: Scenario) -> dbb.TwoWaveState:
     kw = {"delta_phase": 0.0, **_fields(doc, **dict.fromkeys(
         ("v12", "nu", "V", "theta0", "delta_phase", "m0", "M", "c", "h"), _real))}
@@ -306,10 +320,7 @@ _SECTIONS = {
         doc, observables=_list_of(_observable_name(scn)), n=_integer, epsilon=_real,
         delta=_real, block_size=_integer, guided=_flag)),
     "stability": _stability,
-    "reconstruction": lambda doc, scn: ReconstructionPlan(**_fields(
-        doc, reference=_observable_name(scn), partners=_list_of(_observable_name(scn)),
-        heldout=_list_of(_observable_name(scn)), source=_string, restarts=_integer,
-        tol=_real, n=_integer)),
+    "reconstruction": _reconstruction,
     "dbb.two_wave": _two_wave,
     "dbb.exp": _exp,
     "dbb.plane_waves": lambda doc, scn: dbb.PlaneWaveSum(**_fields(

@@ -28,12 +28,9 @@ def check_complex_vector(x, name="vector") -> np.ndarray:
     return arr
 
 
-def check_state_vector(x, dim=None, name="state") -> np.ndarray:
-    """Coerce to a unit-norm complex vector of length dim (2 <= dim <= 16)."""
+def check_state_vector(x, name="state") -> np.ndarray:
+    """Coerce to a unit-norm complex vector of length 2 to 16."""
     arr = check_complex_vector(x, name)
-    if dim is not None and arr.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"{name} has dimension {arr.shape[0]}, expected {dim}")
     d = arr.shape[0]
     if not 2 <= d <= MAX_DIM:
         raise ValueError(f"{name} dimension must be in [2, {MAX_DIM}], got {d}")
@@ -53,22 +50,21 @@ def check_square_matrix(m, dim=None, name="matrix") -> np.ndarray:
     return arr
 
 
-def check_unitary(m, dim=None, tol=UNITARY_TOL, name="matrix") -> np.ndarray:
+def check_unitary(m, dim=None, name="matrix") -> np.ndarray:
     arr = check_square_matrix(m, dim, name)
-    d = arr.shape[0]
-    defect = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
-    if defect > tol:
+    defect = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
+    if defect > UNITARY_TOL:
         raise ValueError(
-            f"{name} is not unitary within {tol} (defect {defect:.3e})")
+            f"{name} is not unitary within {UNITARY_TOL} (defect {defect:.3e})")
     return arr
 
 
-def check_hermitian(m, dim=None, tol=HERMITIAN_TOL, name="matrix") -> np.ndarray:
-    arr = check_square_matrix(m, dim, name)
+def check_hermitian(m, name="matrix") -> np.ndarray:
+    arr = check_square_matrix(m, name=name)
     defect = np.max(np.abs(arr - arr.conj().T))
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise ValueError(
-            f"{name} is not Hermitian within {tol} (defect {defect:.3e})")
+            f"{name} is not Hermitian within {HERMITIAN_TOL} (defect {defect:.3e})")
     return arr
 
 

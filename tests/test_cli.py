@@ -259,6 +259,32 @@ def test_unknown_field_named_exit_code_2(tmp_path, capsys, command, name,
     assert f"unknown field {unknown!r}" in err
 
 
+# a 3-level observable beside the 2-level ones of the shipped scenarios
+D3 = {"eigenvalues": [0.0, 1.0, 2.0],
+      "eigenbasis": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}
+
+
+@pytest.mark.parametrize("path,value", [
+    (("observables", "B", "eigenvalues"), [-1.0, 0.0, 1.0]),
+    (("transforms",), [{"source": "A", "target": "D"}]),
+    (("generation",), {"kind": "multisystem", "state": "psi", "factor_dims": [2, 3]}),
+    (("reconstruction", "partners"), ["B", "D"]),
+    (("reconstruction", "heldout"), ["D"]),
+], ids=["eigenbasis_size", "transform_dims", "factor_dims", "partner_dim",
+        "heldout_dim"])
+def test_dimension_mismatch_exit_code_2(tmp_path, capsys, path, value):
+    # a document whose dimensions disagree is a schema error, found at load
+    doc = json.loads((SCENARIOS / "reconstruct_two_level.json").read_text())
+    doc["observables"]["D"] = D3
+    _set_path(doc, path, value)
+    code = cli.main(["reconstruct", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error:")
+    assert "dimension" in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("block_history", None),
     ("counts", {"a1": 20, "a2": 20}),

@@ -1,0 +1,41 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qfact
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+MODULES = sorted("qfact" if p.stem == "__init__" else f"qfact.{p.stem}"
+                 for p in (SRC / "qfact").glob("*.py"))
+
+
+@pytest.fixture(scope="module")
+def fresh_imports():
+    """Each module imported in an interpreter of its own, all started at once."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    procs = {m: subprocess.Popen([sys.executable, "-c", f"import {m}"], env=env,
+                                 stderr=subprocess.PIPE, text=True)
+             for m in MODULES}
+    yield procs
+    for proc in procs.values():
+        proc.communicate(timeout=60)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(fresh_imports, module):
+    # the package namespace imports nothing, so no import order can hide
+    # a module's missing import
+    proc = fresh_imports[module]
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert qfact.__version__ == project["version"]
