@@ -25,8 +25,7 @@ from .errors import QfactError, ScenarioError
 from .genesis import resolve_state, run_laws
 from .hilbert import born_law
 from .probtree import build_tree
-from .reconstruct import RetrievalConfig, StateReconstructor, predict_heldout
-from .seeding import block_table
+from .reconstruct import StateReconstructor, predict_heldout
 
 
 def _json_text(doc) -> str:
@@ -59,12 +58,6 @@ def _verdict_doc(law, verdict) -> dict:
 
 def cmd_stability(scn: scenario.Scenario) -> dict[str, str]:
     law = scn.section("stability")
-    if isinstance(law, scenario.SamplingPlan):
-        probs = law.block_probs()
-        table = block_table(scn.seed, 0, probs, len(probs) * law.block_size,
-                            law.block_size)
-        law = finprob.FactualLaw(law.labels, table, law.block_size,
-                                 law.epsilon, law.delta)
     verdict = finprob.check_convergence(law)
     return {
         "stability_verdict.json": _json_text(_verdict_doc(law, verdict)),
@@ -104,19 +97,13 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
     if plan.source == "exact":
         state = resolve_state(recipe)
         laws = {name: born_law(state, scn.observable(name)) for name in names}
-        cfg = RetrievalConfig()
     else:
         meas = scn.section("measurement")
-        n = meas.n if plan.n is None else plan.n
-        laws = run_laws(recipe, [scn.observable(name) for name in names], n,
+        laws = run_laws(recipe, [scn.observable(name) for name in names], plan.n,
                         meas.epsilon, meas.delta, meas.block_size, scn.seed)
-        cfg = RetrievalConfig.for_sampled_laws(
-            n, sum(scn.observable(p).dim for p in plan.partners))
-    tol = cfg.tol if plan.tol is None else plan.tol
     taus = [scn.transform(plan.reference, name)
             for name in [*plan.partners, *plan.heldout]]
-    est = StateReconstructor(reference=plan.reference, restarts=plan.restarts,
-                             seed=scn.seed, tol=tol)
+    est = StateReconstructor(plan.reference, **dataclasses.asdict(plan.retrieval))
     est.fit(laws, taus)
 
     outputs = {
@@ -126,7 +113,7 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
             "restarts_used": est.report_.restarts_used,
             "converged": est.report_.converged,
             "ambiguity_flag": est.report_.ambiguity_flag,
-            "tolerance": tol,
+            "tolerance": plan.retrieval.tol,
             "source": plan.source,
         }),
     }

@@ -78,7 +78,6 @@ class Evolved(GenerationOp):
 class MultiSystem(GenerationOp):
     joint_state: OracleState = None
     factor_dims: tuple[int, ...] = ()
-    factor_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.joint_state is None or not self.factor_dims:
@@ -86,8 +85,6 @@ class MultiSystem(GenerationOp):
         if prod(self.factor_dims) != self.joint_state.dim:
             raise DimensionMismatchError(
                 "product of factor dims must equal the joint state dimension")
-        if len(self.factor_labels) != len(self.factor_dims):
-            raise ValueError("need one label per factor")
 
 
 def resolve_state(g: GenerationOp) -> OracleState:
@@ -247,8 +244,12 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
     Returns the joint law over flattened outcome tuples, drawn like
     :func:`run_successions` from the joint Born law, plus one marginal law
     per factor summed from the joint block table.  ``rng`` takes an integer
-    seed or a Generator, as in :func:`run_successions`.
+    seed or a Generator, as in :func:`run_successions`.  Observable i
+    measures factor i, so its dimension is ``g.factor_dims[i]``.
     """
+    if tuple(o.dim for o in obs_list) != tuple(g.factor_dims):
+        raise DimensionMismatchError(f"observable dims {[o.dim for o in obs_list]} "
+                                     f"vs factor dims {list(g.factor_dims)}")
     joint_law, dims = _joint_law(resolve_state(g), obs_list)
     joint_name = "*".join(o.name for o in obs_list)
     joint = _draw_law([f"{joint_name}:{k}" for k in range(joint_law.size)],

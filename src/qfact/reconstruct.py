@@ -66,10 +66,12 @@ class RetrievalConfig:
                              f"{self.tol!r}, {self.stop_tol!r}")
 
     @classmethod
-    def for_sampled_laws(cls, n_trials: int, n_terms: int) -> "RetrievalConfig":
+    def for_sampled_laws(cls, n_trials: int, n_terms: int,
+                         **settings) -> "RetrievalConfig":
         """Tolerance scaled to sampling noise: ten times the squared binomial
-        sigma (at worst 1/(2 sqrt n)) summed over all residual terms."""
-        return cls(tol=10.0 * n_terms * 0.25 / n_trials)
+        sigma (at worst 1/(2 sqrt n)) summed over all residual terms, unless
+        ``settings``, the other fields, set one."""
+        return cls(**{"tol": 10.0 * n_terms * 0.25 / n_trials, **settings})
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 Complex numbers are [re, im] pairs; matrices are row-major nested lists.
 ``load_scenario`` is the only reader of the document: whatever the command,
-it checks every section present and builds its frozen config.
+it checks every section present and resolves it to the value a command
+uses: ``stability`` to its law (a ``sampling`` one drawn from stream 0 of
+the effective seed), ``reconstruction`` to its ``n`` and ``RetrievalConfig``
+and ``generation`` to a recipe whose state fits its observables.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 from . import dbb, finprob
 from .errors import DimensionMismatchError, ScenarioError
-from .genesis import Composed, Evolved, GenerationOp, MultiSystem, Simple
+from .genesis import (
+    Composed, Evolved, GenerationOp, MultiSystem, Simple, resolve_state)
 from .hilbert import (
     HamiltonianSpec,
     ObservableSpec,
@@ -27,6 +31,7 @@ from .hilbert import (
     transform_between,
 )
 from .reconstruct import RetrievalConfig
+from .seeding import block_table
 from .validation import check_integer as _integer, check_real as _real
 
 
@@ -42,53 +47,20 @@ class MeasurementPlan:
     def __post_init__(self):
         if not self.observables or len(set(self.observables)) < len(self.observables):
             raise ValueError(f"need distinct observables, got {list(self.observables)}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
         # the laws' own checks of epsilon, delta and block_size
         finprob.FactualLaw.empty((), self.epsilon, self.delta, self.block_size)
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """One multinomial draw of ``block_size`` trials per block; each segment
-    is (probabilities normalized to sum 1, number of blocks)."""
-
-    labels: tuple[str, ...]
-    block_size: int
-    segments: tuple[tuple[np.ndarray, int], ...]
-    epsilon: float = finprob.DEFAULT_EPSILON
-    delta: float = finprob.DEFAULT_DELTA
-
-    def __post_init__(self):
-        # the law's own checks of the labels, epsilon, delta and block_size
-        finprob.FactualLaw.empty(self.labels, self.epsilon, self.delta, self.block_size)
-        segments = []
-        for probs, blocks in self.segments:
-            probs = np.array(probs, dtype=float)
-            if (probs.shape != (len(self.labels),) or (probs < 0).any()
-                    or not 0 < probs.sum() < math.inf or blocks < 0):
-                raise ValueError("a segment needs blocks >= 0 and one prob >= 0 "
-                                 "per label, with a finite positive sum")
-            segments.append((probs / probs.sum(), blocks))
-        object.__setattr__(self, "segments", tuple(segments))
-
-    def block_probs(self) -> np.ndarray:
-        """Each block's probability row, segment after segment: (n_blocks, n_labels)."""
-        probs = np.reshape([p for p, _ in self.segments], (-1, len(self.labels)))
-        return np.repeat(probs, [b for _, b in self.segments], axis=0)
-
-
-@dataclass(frozen=True)
 class ReconstructionPlan:
-    """``tol`` None: ``RetrievalConfig``'s default for exact laws, one scaled
-    to the noise for sampled laws; ``n`` None: the measurement plan's."""
+    """``n``: successions per law, for sampled laws only; ``retrieval``: the
+    fit's settings, seeded with the scenario seed."""
 
     reference: str
     partners: tuple[str, ...]
+    retrieval: RetrievalConfig
     heldout: tuple[str, ...] = ()
     source: str = "exact"
-    restarts: int = RetrievalConfig.restarts
-    tol: float | None = None
     n: int | None = None
 
     def __post_init__(self):
@@ -96,21 +68,14 @@ class ReconstructionPlan:
         if len(fit) < 2 or len(set(fit)) < len(fit) or len(set(held)) < len(held):
             raise ValueError(f"need partners, distinct and not the reference, and "
                              f"distinct heldout, got {self.partners}, {held}")
-        if self.source not in ("exact", "sampled") or self.n is not None and self.n < 1:
-            raise ValueError(f"bad source {self.source!r}, or n <= 0")
-        # the retrieval's own checks of restarts and tol
-        RetrievalConfig(self.restarts,
-                        RetrievalConfig.tol if self.tol is None else self.tol)
+        if self.source not in ("exact", "sampled"):
+            raise ValueError(f"bad source {self.source!r}")
 
 
 @dataclass(frozen=True)
 class BornCheckPlan:
     n_samples: int = 10_000
     bins: int = 64
-
-    def __post_init__(self):
-        if self.n_samples < 1 or self.bins < 1:
-            raise ValueError("n_samples and bins must be positive")
 
 
 @dataclass
@@ -203,6 +168,11 @@ def _record(**readers):
     return read
 
 
+def _positive(v) -> int:
+    v = _integer(v)
+    return _expect(v, v >= 1, "a positive integer")
+
+
 def _observable_name(scn: Scenario):
     return lambda v: scn.observable(_string(v)).name
 
@@ -235,22 +205,49 @@ def _stability(doc, scn: Scenario):
     if "law_json" in doc:
         return finprob.from_json(Path(doc["law_json"]).read_text())
     if "sampling" in doc:
-        return SamplingPlan(**_fields(
-            doc["sampling"], labels=_names, block_size=_integer, epsilon=_real,
-            delta=_real, segments=_list_of(_record(probs=_reals, blocks=_integer))))
+        return _sampled_law(doc["sampling"], scn.seed)
     raise ValueError("needs 'law', 'law_json' or 'sampling'")
+
+
+def _sampled_law(doc, seed: int) -> finprob.FactualLaw:
+    """One multinomial draw of ``block_size`` trials per block, all from
+    stream 0 of ``seed``; a segment's blocks share its probabilities,
+    normalized to sum 1."""
+    doc = _fields(doc, labels=_names, block_size=_integer, epsilon=_real, delta=_real,
+                  segments=_list_of(_record(probs=_reals, blocks=_integer)))
+    labels, n0, rows = doc["labels"], doc["block_size"], []
+    for probs, blocks in doc["segments"]:
+        probs = np.array(probs, dtype=float)
+        if (probs.shape != (len(labels),) or (probs < 0).any()
+                or not 0 < probs.sum() < math.inf or blocks < 0):
+            raise ValueError("a segment needs blocks >= 0 and one prob >= 0 "
+                             "per label, with a finite positive sum")
+        rows += [probs / probs.sum()] * blocks
+    table = block_table(seed, 0, np.reshape(rows, (-1, len(labels))),
+                        len(rows) * n0, n0)
+    return finprob.FactualLaw(labels, table, n0,
+                              doc.get("epsilon", finprob.DEFAULT_EPSILON),
+                              doc.get("delta", finprob.DEFAULT_DELTA))
 
 
 def _reconstruction(doc, scn: Scenario) -> ReconstructionPlan:
     name = _observable_name(scn)
-    plan = ReconstructionPlan(**_fields(
-        doc, reference=name, partners=_list_of(name), heldout=_list_of(name),
-        source=_string, restarts=_integer, tol=_real, n=_integer))
-    names = (plan.reference, *plan.partners, *plan.heldout)
-    dims = {n: scn.observable(n).dim for n in names}
+    doc = _fields(doc, reference=name, partners=_list_of(name), heldout=_list_of(name),
+                  source=_string, restarts=_integer, tol=_real, n=_positive)
+    names = (doc["reference"], *doc["partners"], *doc.get("heldout", ()))
+    dims = {o: scn.observable(o).dim for o in names}
     if len(set(dims.values())) > 1:
         raise DimensionMismatchError(f"observables of different dimensions: {dims}")
-    return plan
+    settings = {key: doc.pop(key) for key in ("restarts", "tol") if key in doc}
+    if doc.get("source") != "sampled":
+        doc.pop("n", None)  # for sampled laws only
+        return ReconstructionPlan(**doc, retrieval=RetrievalConfig(
+            seed=scn.seed, **settings))
+    # sampled laws are drawn as measurement says, so it is required
+    n = doc.setdefault("n", scn.section("measurement").n)
+    retrieval = RetrievalConfig.for_sampled_laws(
+        n, sum(dims[p] for p in doc["partners"]), seed=scn.seed, **settings)
+    return ReconstructionPlan(**doc, retrieval=retrieval)
 
 
 def _two_wave(doc, scn: Scenario) -> dbb.TwoWaveState:
@@ -275,8 +272,7 @@ _RECIPE_FIELDS = {
     "simple": dict(state=_string),
     "composed": dict(weights=_complex_vector, components=_list_of(_object)),
     "evolved": dict(base=_object, hamiltonian=_string, dt=_real),
-    "multisystem": dict(state=_string, factor_dims=_list_of(_integer),
-                        factor_labels=_names),
+    "multisystem": dict(state=_string, factor_dims=_list_of(_integer)),
 }
 
 
@@ -302,10 +298,23 @@ def _recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
         return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
                        hamiltonian=ham, attachment=attachment,
                        dt=doc.get("dt", Evolved.dt))
-    dims = doc["factor_dims"]
-    labels = doc.get("factor_labels", tuple(f"S{i+1}" for i in range(len(dims))))
-    return MultiSystem(rid, joint_state=state, factor_dims=dims,
-                       factor_labels=labels, attachment=attachment)
+    return MultiSystem(rid, joint_state=state, factor_dims=doc["factor_dims"],
+                       attachment=attachment)
+
+
+def _generation(doc, scn: Scenario) -> GenerationOp:
+    """The recipe, whose state has the dimension of every observable that
+    ``measurement`` and ``reconstruction`` name."""
+    recipe, meas = _recipe(doc, scn), scn.sections.get("measurement")
+    plan = scn.sections.get("reconstruction")
+    names = [*(meas.observables if meas else ()),
+             *((plan.reference, *plan.partners, *plan.heldout) if plan else ())]
+    dim = resolve_state(recipe).dim
+    other = {o: scn.observable(o).dim for o in names if scn.observable(o).dim != dim}
+    if other:
+        raise DimensionMismatchError(
+            f"state of dimension {dim}, observables of other dimensions: {other}")
+    return recipe
 
 
 # built in this order: a section may use the ones above it
@@ -317,7 +326,7 @@ _SECTIONS = {
         doc, matrix=_complex_matrix, hbar=_real))),
     "transforms": _transforms,
     "measurement": lambda doc, scn: MeasurementPlan(**_fields(
-        doc, observables=_list_of(_observable_name(scn)), n=_integer, epsilon=_real,
+        doc, observables=_list_of(_observable_name(scn)), n=_positive, epsilon=_real,
         delta=_real, block_size=_integer, guided=_flag)),
     "stability": _stability,
     "reconstruction": _reconstruction,
@@ -327,8 +336,8 @@ _SECTIONS = {
         doc, box=_real, hbar=_real, components=_list_of(
             _record(weight=_complex, momentum=_reals)))),
     "dbb.borncheck": lambda doc, scn: BornCheckPlan(
-        **_fields(doc, n_samples=_integer, bins=_integer)),
-    "generation": _recipe,
+        **_fields(doc, n_samples=_positive, bins=_positive)),
+    "generation": _generation,
 }
 
 

@@ -37,6 +37,15 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def sampled_reconstruction_doc(**measurement):
+    """The shipped reconstruct_two_level scenario, fitted to sampled laws."""
+    doc = json.loads((SCENARIOS / "reconstruct_two_level.json").read_text())
+    doc["reconstruction"]["source"] = "sampled"
+    doc["measurement"] = {"observables": ["A", "B", "C"], "block_size": 1_000,
+                          **measurement}
+    return doc
+
+
 def identical_blocks_doc(n_blocks=10):
     law = finprob.FactualLaw.from_block_counts(
         ("a1", "a2"), [{"a1": 3, "a2": 1}] * n_blocks, epsilon=0.02, delta=0.05,
@@ -95,8 +104,7 @@ def test_scenario_recipe_kinds():
     doc["generation"] = {"kind": "multisystem", "state": "bell", "factor_dims": [2, 2]}
     scn = scenario.load_scenario(json.dumps(doc))
     assert scn.section("generation") == MultiSystem(
-        "generation", joint_state=scn.section("states")["bell"], factor_dims=(2, 2),
-        factor_labels=("S1", "S2"))
+        "generation", joint_state=scn.section("states")["bell"], factor_dims=(2, 2))
 
 
 def test_missing_scenario_file_exit_code_2(tmp_path, capsys):
@@ -264,20 +272,26 @@ D3 = {"eigenvalues": [0.0, 1.0, 2.0],
       "eigenbasis": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}
 
 
-@pytest.mark.parametrize("path,value", [
-    (("observables", "B", "eigenvalues"), [-1.0, 0.0, 1.0]),
-    (("transforms",), [{"source": "A", "target": "D"}]),
-    (("generation",), {"kind": "multisystem", "state": "psi", "factor_dims": [2, 3]}),
-    (("reconstruction", "partners"), ["B", "D"]),
-    (("reconstruction", "heldout"), ["D"]),
+PSI3 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("reconstruct", ("observables", "B", "eigenvalues"), [-1.0, 0.0, 1.0]),
+    ("reconstruct", ("transforms",), [{"source": "A", "target": "D"}]),
+    ("reconstruct", ("generation",),
+     {"kind": "multisystem", "state": "psi", "factor_dims": [2, 3]}),
+    ("reconstruct", ("reconstruction", "partners"), ["B", "D"]),
+    ("reconstruct", ("reconstruction", "heldout"), ["D"]),
+    ("reconstruct", ("states", "psi"), PSI3),
+    ("tree", ("states", "psi"), PSI3),
 ], ids=["eigenbasis_size", "transform_dims", "factor_dims", "partner_dim",
-        "heldout_dim"])
-def test_dimension_mismatch_exit_code_2(tmp_path, capsys, path, value):
+        "heldout_dim", "state_dim_reconstruct", "state_dim_tree"])
+def test_dimension_mismatch_exit_code_2(tmp_path, capsys, command, path, value):
     # a document whose dimensions disagree is a schema error, found at load
-    doc = json.loads((SCENARIOS / "reconstruct_two_level.json").read_text())
+    doc = json.loads((SCENARIOS / f"{command}_two_level.json").read_text())
     doc["observables"]["D"] = D3
     _set_path(doc, path, value)
-    code = cli.main(["reconstruct", "--scenario", write_scenario(tmp_path, doc),
+    code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
                      "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
@@ -437,6 +451,24 @@ def test_seed_override_changes_outputs(tmp_path):
         (tmp_path / "b" / "law_A.csv").read_bytes()
 
 
+def test_seed_override_reaches_sampled_stability_law(tmp_path):
+    # the sampling law is drawn at load from stream 0 of the effective seed
+    doc = json.loads((SCENARIOS / "stability_drift.json").read_text())
+    runs = {"own": (doc, []), "flag": (doc, ["--seed", "7"]),
+            "file": (dict(doc, seed=7), [])}
+    for name, (run_doc, flags) in runs.items():
+        path = write_scenario(tmp_path, run_doc, f"{name}.json")
+        assert cli.main(["stability", "--scenario", path, *flags,
+                         "--out", str(tmp_path / name)]) == 0
+
+    def outputs(name):
+        return [(tmp_path / name / f).read_bytes()
+                for f in ("law.csv", "stability_verdict.json")]
+
+    assert outputs("flag") == outputs("file")
+    assert all(a != b for a, b in zip(outputs("flag"), outputs("own")))
+
+
 # --- reconstruct command -----------------------------------------------------
 
 def test_reconstruct_exact_pipeline(tmp_path):
@@ -477,6 +509,43 @@ def test_reconstruct_sampled_pipeline(tmp_path):
     predicted = json.loads((tmp_path / "out" / "predicted_C.json").read_text())
     # oracle law of C for the state (1, i)/sqrt(2): balanced
     assert predicted["C:0"] == pytest.approx(0.5, abs=0.02)
+
+
+@pytest.mark.parametrize("source,fields,tolerance", [
+    ("exact", {}, 1e-10),
+    ("sampled", {}, 10 * (2 * 2) * 0.25 / 20_000),
+    ("sampled", {"n": 5_000}, 10 * (2 * 2) * 0.25 / 5_000),
+    ("exact", {"tol": 1e-3}, 1e-3),
+    ("sampled", {"tol": 1e-3}, 1e-3),
+    ("sampled", {"n": 5_000, "tol": 1e-3}, 1e-3),
+], ids=["exact", "sampled_measurement_n", "sampled_own_n", "exact_declared",
+        "sampled_declared", "sampled_own_n_declared"])
+def test_retrieval_tolerance_rule(tmp_path, source, fields, tolerance):
+    # 1e-10 for exact laws; for sampled ones, ten times the worst squared
+    # binomial sigma of each of the 2 partners' 2 terms; a declared tol wins
+    doc = sampled_reconstruction_doc(n=20_000)
+    doc["reconstruction"].update(source=source, **fields)
+    assert cli.main(["reconstruct", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "retrieval_report.json").read_text())
+    assert report["tolerance"] == pytest.approx(tolerance, rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "stability"])
+@pytest.mark.parametrize("fields", [{}, {"n": 1_000}], ids=["n_unset", "n_set"])
+def test_sampled_reconstruction_needs_measurement_exit_code_2(tmp_path, capsys,
+                                                               command, fields):
+    # every section present is resolved at load, whatever the command; the
+    # sampled laws take measurement's epsilon, delta and block size, whatever n
+    doc = dict(sampled_reconstruction_doc(), **identical_blocks_doc())
+    doc["reconstruction"].update(fields)
+    del doc["measurement"]
+    code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: reconstruction: ")
+    assert "'measurement'" in err
 
 
 def test_reconstruct_inconsistent_laws_fail_run(tmp_path, capsys):
@@ -673,11 +742,17 @@ def _set_path(doc, path, value):
     doc[key] = value
 
 
-@pytest.mark.parametrize("command,name",
-                         [*SHIPPED_CHECKSUMS, ("stability", "inline_law")])
+# documents swept beside the shipped ones: no shipped scenario has an inline
+# law or fits sampled laws
+UNSHIPPED = {"inline_law": lambda: identical_blocks_doc(3),
+             "sampled_reconstruction": lambda: sampled_reconstruction_doc(n=20_000)}
+
+
+@pytest.mark.parametrize("command,name", [
+    *SHIPPED_CHECKSUMS, ("stability", "inline_law"),
+    ("reconstruct", "sampled_reconstruction")])
 def test_scenario_mutations_exit_cleanly(tmp_path, capsys, command, name):
-    # no shipped scenario has an inline law, so a 3-block one is swept too
-    base = identical_blocks_doc(3) if name == "inline_law" else \
+    base = UNSHIPPED[name]() if name in UNSHIPPED else \
         json.loads((SCENARIOS / f"{name}.json").read_text())
     paths = list(_mutant_paths(base))
     for path, value in SHRUNK.items():

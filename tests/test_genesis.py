@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qfact import dbb, finprob, hilbert
-from qfact.errors import DestroyedSpecimenError, GuidedCodingUnavailableError
+from qfact.errors import (
+    DestroyedSpecimenError,
+    DimensionMismatchError,
+    GuidedCodingUnavailableError,
+)
 from qfact.genesis import (
     Composed,
     Evolved,
@@ -225,7 +229,7 @@ def test_one_factor_runs_are_the_complete_measurement_runs():
     # mes_complete and run_complete_successions, draw for draw
     setup = np.random.default_rng(41)
     psi, obs = random_state(3, setup), random_observable("A", 3, setup)
-    g = MultiSystem("G", joint_state=psi, factor_dims=(3,), factor_labels=("S1",))
+    g = MultiSystem("G", joint_state=psi, factor_dims=(3,))
     g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
     coded = [mes_coding_nc(generate(g, g1), obs, g1, trial_id=t) for t in range(200)]
     assert coded == [mes_complete(generate(g, g2), [obs], g2, trial_id=t)[0]
@@ -312,8 +316,7 @@ def joint_marginal_oracle(joint_amps, dims, factor, bases):
 
 def test_complete_measurement_one_group_per_factor(rng):
     joint = random_state(4, rng)
-    g = MultiSystem("G2", joint_state=joint, factor_dims=(2, 2),
-                    factor_labels=("S1", "S2"))
+    g = MultiSystem("G2", joint_state=joint, factor_dims=(2, 2))
     obs = [random_observable("A1", 2, rng), random_observable("A2", 2, rng)]
     s = generate(g, rng)
     outcomes = mes_complete(s, obs, rng)
@@ -326,8 +329,7 @@ def test_complete_measurement_one_group_per_factor(rng):
 
 def test_multisystem_marginals_match_partial_trace_oracle(rng):
     joint = random_state(6, rng)
-    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3),
-                    factor_labels=("S1", "S2"))
+    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3))
     obs = [random_observable("A1", 2, rng), random_observable("A2", 3, rng)]
     n = 200_000
     _, marginals = run_complete_successions(g, obs, n, 0.02, 0.05, 10_000, 17)
@@ -339,10 +341,18 @@ def test_multisystem_marginals_match_partial_trace_oracle(rng):
         assert np.all(np.abs(freq - oracle) <= 3 * sigma)
 
 
+def test_complete_successions_reject_observables_off_the_factors(rng):
+    # observable i measures factor i: a 3-level then a 2-level observable do
+    # not fit a (2, 3) factorization, though their dims multiply to 6
+    g = MultiSystem("G23", joint_state=random_state(6, rng), factor_dims=(2, 3))
+    obs = [random_observable("A1", 3, rng), random_observable("A2", 2, rng)]
+    with pytest.raises(DimensionMismatchError, match="factor dims"):
+        run_complete_successions(g, obs, 1_000, 0.02, 0.05, 100, 17)
+
+
 def test_multisystem_joint_equals_factor_outcomes(rng):
     joint = random_state(4, rng)
-    g = MultiSystem("G22", joint_state=joint, factor_dims=(2, 2),
-                    factor_labels=("S1", "S2"))
+    g = MultiSystem("G22", joint_state=joint, factor_dims=(2, 2))
     obs = [hilbert.basis_observable("A1", 2), hilbert.basis_observable("A2", 2)]
     joint_law, marginals = run_complete_successions(g, obs, 10_000,
                                                     0.02, 0.05, 1_000, 23)
@@ -391,8 +401,7 @@ def test_folded_successions_follow_born_law_in_full_blocks():
 def test_complete_measurement_outcomes_follow_joint_born_law():
     setup = np.random.default_rng(32)
     joint = random_state(6, setup)
-    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3),
-                    factor_labels=("S1", "S2"))
+    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3))
     obs = [random_observable("A1", 2, setup), random_observable("A2", 3, setup)]
     gen, n = np.random.default_rng(2719), 10_000
     flat = [np.ravel_multi_index(
