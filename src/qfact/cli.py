@@ -228,6 +228,9 @@ def main(argv=None) -> int:
     except QfactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a count too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     print(out_dir)
     return 0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class TwoWaveState:
     speed V whose directions make angles +-theta0 with Oz, with relative
     phase delta_phase.  The amplitude is sqrt(2) cos(chi z + delta/2) with
     chi = 2 pi (nu/V) cos(theta0); the corpuscle is guided along Ox at the
-    constant speed (c^2/V) sin(theta0)."""
+    constant speed (c^2/V) sin(theta0).  c and h take their SI values."""
 
     nu: float            # wave frequency, 1/s
     V: float             # phase speed, m/s
@@ -44,12 +45,12 @@ class TwoWaveState:
     delta_phase: float   # relative phase of the two branches, rad
     m0: float            # rest mass, kg
     M: float             # quantum mass, kg
-    c: float = 299_792_458.0
-    h: float = 6.626_070_15e-34
+    c: ClassVar[float] = 299_792_458.0
+    h: ClassVar[float] = 6.626_070_15e-34
 
     def __post_init__(self):
-        if min(self.nu, self.V, self.m0, self.M, self.c, self.h) <= 0:
-            raise ValueError("nu, V, m0, M, c, h must all be positive")
+        if min(self.nu, self.V, self.m0, self.M) <= 0:
+            raise ValueError("nu, V, m0, M must all be positive")
         if self.chi <= 0:
             raise ValueError("chi = 2 pi (nu/V) cos(theta0) must be positive")
         try:  # extreme parameters overflow or underflow what a run derives
@@ -64,16 +65,15 @@ class TwoWaveState:
 
     @classmethod
     def from_corpuscle_speed(cls, v12: float, theta0: float, delta_phase: float,
-                             m0: float, c: float = 299_792_458.0,
-                             h: float = 6.626_070_15e-34) -> "TwoWaveState":
+                             m0: float) -> "TwoWaveState":
         """Consistent parametrization from the corpuscle speed v12 common to
         both branches: M is the relativistic mass, nu = M c^2 / h, V = c^2/v12."""
-        if not 0 < v12 < c:
+        if not 0 < v12 < cls.c:
             raise ValueError("corpuscle speed must lie in (0, c)")
-        gamma = 1.0 / math.sqrt(1.0 - (v12 / c) ** 2)
+        gamma = 1.0 / math.sqrt(1.0 - (v12 / cls.c) ** 2)
         m_quantum = gamma * m0
-        return cls(nu=m_quantum * c ** 2 / h, V=c ** 2 / v12, theta0=theta0,
-                   delta_phase=delta_phase, m0=m0, M=m_quantum, c=c, h=h)
+        return cls(nu=m_quantum * cls.c ** 2 / cls.h, V=cls.c ** 2 / v12,
+                   theta0=theta0, delta_phase=delta_phase, m0=m0, M=m_quantum)
 
     @property
     def hbar(self) -> float:
@@ -115,7 +115,7 @@ class TwoWaveState:
     def sample_position(self, rng) -> np.ndarray:
         """One point of the fringe density from the positions stream of ``rng``."""
         gen = trial_generator(stream_seed(rng), _POSITIONS)
-        z = _sample_fringe(self, gen, 1, ExpConfig.z_periods)[0]
+        z = _sample_fringe(self, gen, 1, Z_PERIODS)[0]
         return np.array([0.0, 0.0, z])
 
     def momentum_at(self, r, t) -> np.ndarray:
@@ -217,23 +217,22 @@ def _sample_fringe(s: TwoWaveState, gen: np.random.Generator, n: int,
 
 # histogram bins: direction over [-2 theta0, 2 theta0]; z at L2 per period
 DIRECTION_BINS, FRINGE_BINS_PER_PERIOD = 201, 20
+Z_PERIODS = 8  # fringe periods of the window the initial z is drawn from
+KICK_HALF_WIDTH = math.pi / 2.0  # scale of the relative-phase change per kick
 
 @dataclass(frozen=True)
 class ExpConfig:
     """Two-layer trace experiment settings.
 
     lambda_sep is the L1 -> L2 flight distance; kappa the kick scale (None
-    picks the state's default); the relative-phase change per interaction
-    is drawn from a symmetric law of half-width kick_half_width.
+    picks the state's default); the relative-phase change per ionization is
+    KICK_HALF_WIDTH times a draw of kick_law: uniform on [-1, 1] or normal.
     """
 
     lambda_sep: float
     kappa: float | None = None
     kick_law: str = "uniform"
-    kick_half_width: float = math.pi / 2.0
     n_trials: int = 10_000
-    elastic_interactions_per_trial: int = 0
-    z_periods: int = 8
     lambda_scaling_factors: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
 
     def __post_init__(self):
@@ -244,8 +243,8 @@ class ExpConfig:
         if self.kick_law not in ("uniform", "normal"):
             raise ValueError(f"kick_law must be 'uniform' or 'normal', "
                              f"got {self.kick_law!r}")
-        if self.n_trials < 1 or self.z_periods < 1:
-            raise ValueError("n_trials and z_periods must be positive")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be positive")
 
 
 @dataclass
@@ -293,29 +292,25 @@ class ExpSummary:
 def _trial_draws(s: TwoWaveState, cfg: ExpConfig, seed: int,
                  n: int) -> tuple[np.ndarray, np.ndarray]:
     """The initial z of n trials from the fringe density, and the total
-    fringe displacement of one or two ionization kicks (even odds) plus the
-    configured elastic kicks, drawn one interaction at a time."""
+    fringe displacement of their one or two ionization kicks (even odds):
+    stream 1 gives the counts, then both kicks as one (2, n) block."""
     kappa = default_kappa(s) if cfg.kappa is None else cfg.kappa
-    hw = cfg.kick_half_width
-    z0 = _sample_fringe(s, trial_generator(seed, _POSITIONS), n, cfg.z_periods)
+    z0 = _sample_fringe(s, trial_generator(seed, _POSITIONS), n, Z_PERIODS)
     gen = trial_generator(seed, _KICKS)
     n_ion = gen.integers(1, 3, n)
-    kick_total = np.zeros(n)
-    for k in range(2 + cfg.elastic_interactions_per_trial):
-        dd = hw * (gen.uniform(-1.0, 1.0, n) if cfg.kick_law == "uniform"
-                   else gen.standard_normal(n))
-        applies = n_ion == 2 if k == 1 else True
-        kick_total += np.where(applies, ionization_kick(dd, kappa), 0.0)
-    return z0, kick_total
+    dd = (gen.uniform(-1.0, 1.0, (2, n)) if cfg.kick_law == "uniform"
+          else gen.standard_normal((2, n)))
+    kicks = ionization_kick(KICK_HALF_WIDTH * dd, kappa)
+    return z0, kicks.sum(axis=0, where=np.arange(2)[:, None] < n_ion)
 
 
 def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     """Run the two-layer experiment on an ensemble of specimens.
 
     Per trial: sample the initial z from the fringe density, register the
-    first ionization at L1, apply one or two ionization kicks (plus any
-    configured elastic kicks), fly at the guided velocity to L2, register
-    there, and estimate the momentum as M (r2 - r1)/(t2 - t1).
+    first ionization at L1, apply one or two ionization kicks, fly at the
+    guided velocity to L2, register there, and estimate the momentum as
+    M (r2 - r1)/(t2 - t1).
 
     ``rng`` takes an integer seed or a numpy Generator, which only supplies
     the seed.  Positions and kicks are drawn whole from the streams (seed, 0)
@@ -341,9 +336,9 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
 
     theta = s.theta0
     dir_edges = np.linspace(-2.0 * theta, 2.0 * theta, DIRECTION_BINS + 1)
-    lo, hi = s.fringe_window(cfg.z_periods)
+    lo, hi = s.fringe_window(Z_PERIODS)
     pad = 0.5 * s.fringe_period
-    n_fringe_bins = FRINGE_BINS_PER_PERIOD * (cfg.z_periods + 1)
+    n_fringe_bins = FRINGE_BINS_PER_PERIOD * (Z_PERIODS + 1)
     fringe_edges = np.linspace(lo - pad, hi + pad, n_fringe_bins + 1)
 
     lam_table = []

@@ -44,17 +44,13 @@ class GenerationOp:
 
 @dataclass(frozen=True)
 class Simple(GenerationOp):
-    state: OracleState = None
-
-    def __post_init__(self):
-        if self.state is None:
-            raise ValueError("Simple recipe needs a state")
+    state: OracleState
 
 
 @dataclass(frozen=True)
 class Composed(GenerationOp):
-    weights: tuple[complex, ...] = ()
-    components: tuple[GenerationOp, ...] = ()
+    weights: tuple[complex, ...]
+    components: tuple[GenerationOp, ...]
 
     def __post_init__(self):
         if len(self.weights) != len(self.components) or not self.components:
@@ -63,25 +59,21 @@ class Composed(GenerationOp):
 
 @dataclass(frozen=True)
 class Evolved(GenerationOp):
-    base: GenerationOp = None
-    hamiltonian: HamiltonianSpec = None
+    base: GenerationOp
+    hamiltonian: HamiltonianSpec
     dt: float = 0.0
 
     def __post_init__(self):
-        if self.base is None or self.hamiltonian is None:
-            raise ValueError("Evolved recipe needs a base recipe and a Hamiltonian")
         if self.dt < 0:
             raise ValueError("dt must be non-negative")
 
 
 @dataclass(frozen=True)
 class MultiSystem(GenerationOp):
-    joint_state: OracleState = None
-    factor_dims: tuple[int, ...] = ()
+    joint_state: OracleState
+    factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        if self.joint_state is None or not self.factor_dims:
-            raise ValueError("MultiSystem recipe needs a joint state and factor dims")
         if prod(self.factor_dims) != self.joint_state.dim:
             raise DimensionMismatchError(
                 "product of factor dims must equal the joint state dimension")

@@ -222,9 +222,11 @@ def _sampled_law(doc, seed: int) -> finprob.FactualLaw:
                 or not 0 < probs.sum() < math.inf or blocks < 0):
             raise ValueError("a segment needs blocks >= 0 and one prob >= 0 "
                              "per label, with a finite positive sum")
-        rows += [probs / probs.sum()] * blocks
-    table = block_table(seed, 0, np.reshape(rows, (-1, len(labels))),
-                        len(rows) * n0, n0)
+        rows.append(probs / probs.sum())
+    # one row per block: a count too large for memory ends in a MemoryError
+    rows = np.repeat(np.reshape(rows, (-1, len(labels))), np.array(
+        [blocks for _, blocks in doc["segments"]], dtype=np.int64), axis=0)
+    table = block_table(seed, 0, rows, len(rows) * n0, n0)
     return finprob.FactualLaw(labels, table, n0,
                               doc.get("epsilon", finprob.DEFAULT_EPSILON),
                               doc.get("delta", finprob.DEFAULT_DELTA))
@@ -251,10 +253,8 @@ def _reconstruction(doc, scn: Scenario) -> ReconstructionPlan:
 
 
 def _two_wave(doc, scn: Scenario) -> dbb.TwoWaveState:
-    kw = {"delta_phase": 0.0, **_fields(doc, **dict.fromkeys(
-        ("v12", "nu", "V", "theta0", "delta_phase", "m0", "M", "c", "h"), _real))}
-    build = dbb.TwoWaveState.from_corpuscle_speed if "v12" in kw else dbb.TwoWaveState
-    return build(**kw)
+    return dbb.TwoWaveState.from_corpuscle_speed(**{"delta_phase": 0.0, **_fields(
+        doc, **dict.fromkeys(("v12", "theta0", "delta_phase", "m0"), _real))})
 
 
 def _exp(doc, scn: Scenario) -> dbb.ExpConfig:
@@ -263,11 +263,10 @@ def _exp(doc, scn: Scenario) -> dbb.ExpConfig:
         raise ValueError("the dbb.two_wave guided speed must be positive")
     return dbb.ExpConfig(**_fields(
         doc, lambda_sep=_real, kappa=lambda v: v if v is None else _real(v),
-        kick_law=_string, kick_half_width=_real, n_trials=_integer,
-        elastic_interactions_per_trial=_integer, z_periods=_integer))
+        kick_law=_string, n_trials=_integer))
 
 
-# the fields of each recipe kind besides ``kind``, ``id`` and ``attachment``
+# the fields of each recipe kind besides ``kind`` and ``id``
 _RECIPE_FIELDS = {
     "simple": dict(state=_string),
     "composed": dict(weights=_complex_vector, components=_list_of(_object)),
@@ -278,28 +277,21 @@ _RECIPE_FIELDS = {
 
 def _recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
     kind = _object(doc).get("kind")  # unknown: a KeyError naming it
-    doc = _fields(doc, kind=_string, id=_string, attachment=_any,
-                  **_RECIPE_FIELDS[kind])
-    rid, attachment = doc.get("id", where), doc.get("attachment")
-    if attachment is not None:  # a dbb wave
-        attachment = scn.section({"two_wave": "dbb.two_wave",
-                                  "plane_waves": "dbb.plane_waves"}[attachment])
+    doc = _fields(doc, kind=_string, id=_string, **_RECIPE_FIELDS[kind])
+    rid = doc.get("id", where)
     if kind in ("simple", "multisystem"):
         state = scn.section("states")[doc["state"]]
     if kind == "simple":
-        return Simple(rid, state=state, attachment=attachment)
+        return Simple(rid, state=state)
     if kind == "composed":
         comps = tuple(_recipe(c, scn, f"{where}.components[{i}]")
                       for i, c in enumerate(doc["components"]))
-        return Composed(rid, weights=doc["weights"], components=comps,
-                        attachment=attachment)
+        return Composed(rid, weights=doc["weights"], components=comps)
     if kind == "evolved":
         ham = scn.section("hamiltonians")[doc["hamiltonian"]]
         return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
-                       hamiltonian=ham, attachment=attachment,
-                       dt=doc.get("dt", Evolved.dt))
-    return MultiSystem(rid, joint_state=state, factor_dims=doc["factor_dims"],
-                       attachment=attachment)
+                       hamiltonian=ham, dt=doc.get("dt", Evolved.dt))
+    return MultiSystem(rid, joint_state=state, factor_dims=doc["factor_dims"])
 
 
 def _generation(doc, scn: Scenario) -> GenerationOp:
@@ -349,7 +341,7 @@ def load_scenario(text: str, seed_override: int | None = None) -> Scenario:
                       dbb=lambda doc: _fields(doc, **dbb_sections),
                       **{name: _any for name in _SECTIONS if "." not in name})
     with _reading("seed"):
-        seed = _integer(raw["seed"]) if seed_override is None else int(seed_override)
+        seed = _integer(raw["seed"] if seed_override is None else seed_override)
         _expect(seed, seed >= 0, "a non-negative integer")
     scn = Scenario(seed, raw.get("output_dir", Scenario.output_dir))
     # dbb.borncheck may be left out: all its fields have defaults

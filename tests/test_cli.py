@@ -248,6 +248,14 @@ def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
     ("borncheck", "trace_experiment", ("dbb", "borncheck", "bin"), 5),
     ("borncheck", "trace_experiment",
      ("dbb", "plane_waves", "components", 0, "phase"), 0.0),
+    # fields of earlier versions, now constants or gone
+    ("exp", "trace_experiment", ("dbb", "two_wave", "c"), 299_792_458.0),
+    ("exp", "trace_experiment", ("dbb", "two_wave", "nu"), 1.2e20),
+    ("exp", "trace_experiment", ("dbb", "exp", "z_periods"), 8),
+    ("exp", "trace_experiment",
+     ("dbb", "exp", "elastic_interactions_per_trial"), 0),
+    ("exp", "trace_experiment", ("dbb", "exp", "kick_half_width"), 1.0),
+    ("tree", "tree_two_level", ("generation", "attachment"), "two_wave"),
 ])
 def test_unknown_field_named_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
@@ -467,6 +475,32 @@ def test_seed_override_reaches_sampled_stability_law(tmp_path):
 
     assert outputs("flag") == outputs("file")
     assert all(a != b for a, b in zip(outputs("flag"), outputs("own")))
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 63])
+def test_seed_override_out_of_range_exit_code_2(tmp_path, capsys, seed):
+    # --seed takes the range of the file's seed, not a value reduced mod 2**64
+    code = cli.main(["stability", "--scenario",
+                     str(SCENARIOS / "stability_fair_coin.json"),
+                     "--seed", str(seed), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("scenario error: seed:")
+
+
+@pytest.mark.parametrize("command,name,path", [
+    ("stability", "stability_drift", SEGMENT + ("blocks",)),
+    ("tree", "tree_two_level", ("measurement", "n")),
+], ids=["sampling_blocks", "measurement_n"])
+def test_count_too_large_for_memory_exit_code_1(tmp_path, capsys, command, name,
+                                                path):
+    # 10**15 blocks or successions: the allocation is refused at once
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    _set_path(doc, path, 10 ** 15)
+    code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: out of memory: Unable to allocate")
 
 
 # --- reconstruct command -----------------------------------------------------
@@ -707,6 +741,26 @@ def test_shipped_scenario_bytes_pinned(tmp_path, command, name):
     assert manifest["outputs"] == SHIPPED_CHECKSUMS[(command, name)]
 
 
+def normal_kicks_doc():
+    """The shipped trace experiment with normal kicks of a set scale."""
+    doc = json.loads((SCENARIOS / "trace_experiment.json").read_text())
+    doc["dbb"]["exp"].update(kick_law="normal", kappa=3e-12)
+    return doc
+
+
+def test_normal_kick_law_bytes_pinned(tmp_path):
+    # recorded like SHIPPED_CHECKSUMS: no shipped scenario draws normal kicks
+    out, path = tmp_path / "out", write_scenario(tmp_path, normal_kicks_doc())
+    assert cli.main(["exp", "--scenario", path, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {
+        "exp_direction_hist.csv": "341d974025a315ecb20074add0d535e151b2b12e30beac1fa03e29b3be50836a",
+        "exp_fringe_hist.csv": "2a8580c43b79b40c4c35333e01200b825f1722e5c2a4cded0f9a4a8f7cf2c0e9",
+        "exp_lambda_table.csv": "5087ba05986f3a3a7edf05347f2ae723898162500393199f95c2447b47bf3455",
+        "exp_summary.json": "120621a505bd7ce240a1ad02821cc68128243c6954417465f441945ac178a532",
+    }
+
+
 # every leaf and list of a shipped scenario set to each of these values in turn
 MUTANTS = ("x", -1, None, [], {}, 0, 1e300, 1e-300, True)
 # heavy counts of the shipped scenarios, cut before any mutation
@@ -743,14 +797,15 @@ def _set_path(doc, path, value):
 
 
 # documents swept beside the shipped ones: no shipped scenario has an inline
-# law or fits sampled laws
+# law, fits sampled laws or sets the optional dbb.exp fields
 UNSHIPPED = {"inline_law": lambda: identical_blocks_doc(3),
-             "sampled_reconstruction": lambda: sampled_reconstruction_doc(n=20_000)}
+             "sampled_reconstruction": lambda: sampled_reconstruction_doc(n=20_000),
+             "normal_kicks": normal_kicks_doc}
 
 
 @pytest.mark.parametrize("command,name", [
     *SHIPPED_CHECKSUMS, ("stability", "inline_law"),
-    ("reconstruct", "sampled_reconstruction")])
+    ("reconstruct", "sampled_reconstruction"), ("exp", "normal_kicks")])
 def test_scenario_mutations_exit_cleanly(tmp_path, capsys, command, name):
     base = UNSHIPPED[name]() if name in UNSHIPPED else \
         json.loads((SCENARIOS / f"{name}.json").read_text())

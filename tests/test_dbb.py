@@ -256,7 +256,7 @@ def test_run_trace_record(wave):
 
 
 def test_run_trace_honours_kick_law(wave):
-    # one trial has at most two kicks, each within kappa * kick_half_width
+    # one trial has at most two kicks, each within kappa * KICK_HALF_WIDTH
     # under the uniform law; the normal law must leave that support
     def kicks(law):
         cfg = ExpConfig(lambda_sep=1e-6, kick_law=law, n_trials=1)
@@ -266,7 +266,7 @@ def test_run_trace_honours_kick_law(wave):
             out.append(abs(r2[2] - r1[2]))
         return np.array(out)
 
-    support = 2 * default_kappa(wave) * ExpConfig(lambda_sep=1e-6).kick_half_width
+    support = 2 * default_kappa(wave) * dbb.KICK_HALF_WIDTH
     assert np.all(kicks("uniform") <= support)
     assert np.any(kicks("normal") > support)
 
