@@ -231,6 +231,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a count too large for this machine
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(out_dir)
     return 0
 

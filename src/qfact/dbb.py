@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import NodeSingularityError
-from .seeding import stream_seed, trial_generator
+from .seeding import trial_generator
 
 _POSITIONS, _KICKS = 0, 1  # a run's streams: positions; ionization counts and kicks
 _MAX_BATCH = 1 << 16  # most candidates in one rejection round: bounds memory
@@ -112,11 +112,9 @@ class TwoWaveState:
 
     # genesis attachment protocol ------------------------------------------
 
-    def sample_position(self, rng) -> np.ndarray:
-        """One point of the fringe density from the positions stream of ``rng``."""
-        gen = trial_generator(stream_seed(rng), _POSITIONS)
-        z = _sample_fringe(self, gen, 1, Z_PERIODS)[0]
-        return np.array([0.0, 0.0, z])
+    def sample_position(self, gen: np.random.Generator) -> np.ndarray:
+        """One point of the fringe density, drawn from ``gen``."""
+        return np.array([0.0, 0.0, _sample_fringe(self, gen, 1, Z_PERIODS)[0]])
 
     def momentum_at(self, r, t) -> np.ndarray:
         return guided_momentum(self)
@@ -189,13 +187,21 @@ def _rejection_sample(n: int, rate: float, propose) -> tuple[np.ndarray, ...]:
     """The first n accepted candidates, in draw order: ``propose(m)`` draws m
     candidates and returns the accepted ones as arrays over their last axis.
     A round draws (missing + 3 sqrt(missing)) / rate candidates, at most
-    ``_MAX_BATCH``, so that one round usually covers what is missing."""
-    parts, missing = [], n
-    while missing > 0:
-        parts.append(propose(min(_MAX_BATCH, math.ceil(
-            (missing + 3.0 * math.sqrt(missing)) / rate))))
-        missing -= parts[-1][0].shape[-1]
-    return tuple(np.concatenate(arrays, axis=-1)[..., :n] for arrays in zip(*parts))
+    ``_MAX_BATCH``, so that one round usually covers what is missing.  The n
+    outputs are allocated once the first round fixes their shapes, so a count
+    too large for memory fails at once."""
+    out, done = None, 0
+    while done < n:
+        missing = n - done
+        part = propose(min(_MAX_BATCH, math.ceil(
+            (missing + 3.0 * math.sqrt(missing)) / rate)))
+        if out is None:
+            out = tuple(np.empty((*a.shape[:-1], n), a.dtype) for a in part)
+        take = min(part[0].shape[-1], missing)
+        for dest, a in zip(out, part):
+            dest[..., done:done + take] = a[..., :take]
+        done += take
+    return out
 
 
 def _sample_fringe(s: TwoWaveState, gen: np.random.Generator, n: int,
@@ -304,7 +310,7 @@ def _trial_draws(s: TwoWaveState, cfg: ExpConfig, seed: int,
     return z0, kicks.sum(axis=0, where=np.arange(2)[:, None] < n_ion)
 
 
-def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
+def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     """Run the two-layer experiment on an ensemble of specimens.
 
     Per trial: sample the initial z from the fringe density, register the
@@ -312,15 +318,14 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     guided velocity to L2, register there, and estimate the momentum as
     M (r2 - r1)/(t2 - t1).
 
-    ``rng`` takes an integer seed or a numpy Generator, which only supplies
-    the seed.  Positions and kicks are drawn whole from the streams (seed, 0)
-    and (seed, 1), so trial i depends on n_trials as well as on the seed.
+    Positions and kicks are drawn whole from the streams (seed, 0) and
+    (seed, 1), so trial i depends on n_trials as well as on the seed.
     """
     n = cfg.n_trials
     v = guided_velocity(s)
     if v[0] <= 0:
         raise ValueError("guided speed must be positive to reach L2")
-    z0, kick_total = _trial_draws(s, cfg, stream_seed(rng), n)
+    z0, kick_total = _trial_draws(s, cfg, seed, n)
 
     dt = cfg.lambda_sep / v[0]
     z2 = z0 + kick_total
@@ -365,10 +370,10 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, rng) -> ExpSummary:
     )
 
 
-def run_trace(s: TwoWaveState, cfg: ExpConfig, rng) -> TraceRecord:
+def run_trace(s: TwoWaveState, cfg: ExpConfig, seed: int) -> TraceRecord:
     """One specimen through the two layers, keeping the raw registrations:
-    the draws of ``simulate_exp`` with ``n_trials=1`` from the same ``rng``."""
-    z0s, kicks = _trial_draws(s, cfg, stream_seed(rng), 1)
+    the draws of ``simulate_exp`` with ``n_trials=1`` from the same seed."""
+    z0s, kicks = _trial_draws(s, cfg, seed, 1)
     z0, kick = float(z0s[0]), float(kicks[0])
     v = guided_velocity(s)
     t2 = cfg.lambda_sep / v[0]
@@ -424,6 +429,13 @@ class PlaneWaveSum:
             seen.add(key)
         if self.box <= 0 or self.hbar <= 0:
             raise ValueError("box side and hbar must be positive")
+        with np.errstate(all="ignore"):  # extreme inputs overflow or underflow
+            reach = np.abs((self.momenta[1:] - self.momenta[0]) / self.hbar).sum(
+                axis=1) * self.box  # bound on each term's phase across the box
+            totals = (self.density_bound(), _pair_weights(self).sum())
+        if not (np.isfinite(reach).all()
+                and all(np.finfo(float).tiny <= x < math.inf for x in totals)):
+            raise ValueError("a derived quantity is out of range")
 
     @property
     def weights(self) -> np.ndarray:
@@ -460,9 +472,9 @@ class PlaneWaveSum:
 
     # genesis attachment protocol ------------------------------------------
 
-    def sample_position(self, rng) -> np.ndarray:
-        """One point of |psi|^2 from the positions stream of ``rng``."""
-        return _sample_box(self, trial_generator(stream_seed(rng), _POSITIONS), 1)[0][0]
+    def sample_position(self, gen: np.random.Generator) -> np.ndarray:
+        """One point of |psi|^2, drawn from ``gen``."""
+        return _sample_box(self, gen, 1)[0][0]
 
     def momentum_at(self, r, t) -> np.ndarray:
         return self.guided_momentum_at(np.asarray(r, dtype=float))
@@ -498,16 +510,20 @@ def pair_sum_spectrum(w: PlaneWaveSum) -> tuple[np.ndarray, np.ndarray]:
     p_i + p_j (i < j) weighted by |w_i w_j|^2, normalized; a single plane
     wave keeps its own momentum with weight 1."""
     p = w.momenta
-    if len(w.components) == 1:
+    if len(p) == 1:
         return p.copy(), np.array([1.0])
-    vecs, wts = [], []
+    i, j = np.triu_indices(len(p), 1)
+    wts = _pair_weights(w)
+    return p[i] + p[j], wts / wts.sum()
+
+
+def _pair_weights(w: PlaneWaveSum) -> np.ndarray:
+    """|w_i w_j|^2 over the pairs i < j in row order, or [1] for one wave."""
     amps = np.abs(w.weights)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            vecs.append(p[i] + p[j])
-            wts.append((amps[i] * amps[j]) ** 2)
-    wts = np.array(wts)
-    return np.array(vecs), wts / wts.sum()
+    if len(amps) == 1:
+        return np.array([1.0])
+    i, j = np.triu_indices(len(amps), 1)
+    return (amps[i] * amps[j]) ** 2
 
 
 @dataclass
@@ -520,7 +536,7 @@ class BornCheckRecord:
     histogram_mass_total: float
 
 
-def extended_born_check(w: PlaneWaveSum, n_samples: int, rng,
+def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
                         bins: int = 64) -> BornCheckRecord:
     """Sample positions from |psi|^2, read the guided momentum at each, and
     compare its distribution with the conjectured pair-sum spectrum.
@@ -530,7 +546,7 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, rng,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    gen = trial_generator(stream_seed(rng), _POSITIONS)
+    gen = trial_generator(seed, _POSITIONS)
     guided = _guided_momentum(w.momenta, _sample_box(w, gen, n_samples)[1])
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)

@@ -59,6 +59,10 @@ class FactualLaw:
             raise ValueError("blocks must be an (n_blocks, n_labels) table")
         if (blocks < 0).any():
             raise ValueError("counts must be non-negative")
+        # a float64 sum cannot overflow; it misjudges only totals within 2**11
+        # of the limit
+        if blocks.sum(dtype=np.float64) >= 2.0 ** 63:
+            raise ValueError("the trial total must stay below 2**63")
         blocks.flags.writeable = False
         self.blocks = blocks
 

@@ -4,7 +4,8 @@ A generation recipe produces one specimen per realization; measuring the
 specimen codes its registered marks into one eigenvalue and destroys it,
 so every coded outcome costs a whole generate-then-measure succession.
 Batched runners draw each block of successions as one multinomial row of
-counter-keyed randomness, so a law depends only on its seed and stream.
+the stream keyed by an integer seed, so a law depends only on its seed and
+stream; a specimen draws from the numpy Generator it is given.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .hilbert import (
     compose_superposition,
     evolve,
 )
-from .seeding import block_table, stream_seed
+from .seeding import block_table
 from .validation import check_rng
 
 
@@ -36,7 +37,8 @@ from .validation import check_rng
 class GenerationOp:
     """Base recipe; concrete kinds below.  ``attachment`` optionally points
     to a closed-form wave scenario used for guided coding (duck-typed: it
-    must provide sample_position(rng) and momentum_at(r, t))."""
+    must provide sample_position(gen), drawing from the Generator gen, and
+    momentum_at(r, t))."""
 
     id: str
     attachment: object | None = field(default=None, kw_only=True)
@@ -128,11 +130,11 @@ class CodedOutcome:
 
 
 def generate(g: GenerationOp, rng) -> Specimen:
-    """Realize the recipe once."""
+    """Realize the recipe once, drawing an attachment's position from rng."""
     state = resolve_state(g)
     position = None
     if g.attachment is not None:
-        position = g.attachment.sample_position(rng)
+        position = g.attachment.sample_position(check_rng(rng))
     return Specimen(hidden_state=state, dbb_attachment=g.attachment,
                     corpuscle_position=position)
 
@@ -192,16 +194,16 @@ def time_of_flight(x_n, t_n: float, t0: float, m: float) -> np.ndarray:
     return m * np.asarray(x_n, dtype=float) / (t_n - t0)
 
 
-def _draw_law(labels, probs, n, eps, delta, n0, rng, trial_offset):
+def _draw_law(labels, probs, n, eps, delta, n0, seed, trial_offset):
     """Law of n successions on the outcome law ``probs``: both runners' draw."""
     if n < 1:
         raise ValueError("need at least one succession")
-    table = block_table(stream_seed(rng), trial_offset, probs, n, n0)
+    table = block_table(seed, trial_offset, probs, n, n0)
     return finprob.FactualLaw(labels, table, n0, eps, delta)
 
 
 def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
-                    eps: float, delta: float, n0: int, rng,
+                    eps: float, delta: float, n0: int, seed: int,
                     trial_offset: int = 0) -> finprob.FactualLaw:
     """Accumulate n independent generate-then-measure successions.
 
@@ -209,35 +211,31 @@ def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
     are one multinomial draw of n0 trials from its Born law: exactly the
     distribution of the per-trial successions.  The block table comes from
     :func:`seeding.block_table` keyed by (seed, trial_offset); give each law
-    built from one seed its own offset.  ``rng`` takes an integer seed or a
-    numpy Generator, which only supplies the seed.
+    built from one seed its own offset.
     """
     return _draw_law(obs.labels(), born_law(resolve_state(g), obs), n, eps,
-                     delta, n0, rng, trial_offset)
+                     delta, n0, seed, trial_offset)
 
 
 def run_laws(g: GenerationOp, observables, n: int, eps: float, delta: float,
-             n0: int, rng) -> dict[str, finprob.FactualLaw]:
+             n0: int, seed: int) -> dict[str, finprob.FactualLaw]:
     """One law of n successions per observable, keyed by name: observable k's
-    from :func:`run_successions` on stream k*n of the one seed that ``rng``
-    supplies (an integer seed, or a Generator that supplies it in one draw)."""
-    seed = stream_seed(rng)
+    from :func:`run_successions` on stream k*n of ``seed``."""
     return {obs.name: run_successions(g, obs, n, eps, delta, n0, seed,
                                       trial_offset=k * n)
             for k, obs in enumerate(observables)}
 
 
 def run_complete_successions(g: MultiSystem, obs_list, n: int,
-                             eps: float, delta: float, n0: int, rng,
+                             eps: float, delta: float, n0: int, seed: int,
                              trial_offset: int = 0
                              ) -> tuple[finprob.FactualLaw, list[finprob.FactualLaw]]:
     """Batched complete measurements on a multi-system recipe.
 
     Returns the joint law over flattened outcome tuples, drawn like
     :func:`run_successions` from the joint Born law, plus one marginal law
-    per factor summed from the joint block table.  ``rng`` takes an integer
-    seed or a Generator, as in :func:`run_successions`.  Observable i
-    measures factor i, so its dimension is ``g.factor_dims[i]``.
+    per factor summed from the joint block table.  Observable i measures
+    factor i, so its dimension is ``g.factor_dims[i]``.
     """
     if tuple(o.dim for o in obs_list) != tuple(g.factor_dims):
         raise DimensionMismatchError(f"observable dims {[o.dim for o in obs_list]} "
@@ -245,7 +243,7 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
     joint_law, dims = _joint_law(resolve_state(g), obs_list)
     joint_name = "*".join(o.name for o in obs_list)
     joint = _draw_law([f"{joint_name}:{k}" for k in range(joint_law.size)],
-                      joint_law, n, eps, delta, n0, rng, trial_offset)
+                      joint_law, n, eps, delta, n0, seed, trial_offset)
     # factor i's block table: the joint table summed over the other factors
     per_factor = joint.blocks.reshape(-1, *dims)
     marginals = [

@@ -8,11 +8,7 @@ role.  A stream's Generator is seeded by the splitmix64 finalizer of
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
-
-from .validation import check_rng
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -30,15 +26,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x *= _MIX2
     x ^= x >> _SHIFT31
     return x
-
-
-def stream_seed(rng) -> int:
-    """Seed of the counter streams for an ``rng`` argument: an integer
-    passes through unchanged, and a numpy Generator (or None, for fresh
-    entropy) supplies one 63-bit draw and nothing else."""
-    if isinstance(rng, numbers.Integral):
-        return int(rng)
-    return int(check_rng(rng).integers(2 ** 63))
 
 
 def trial_generator(seed: int, stream: int) -> np.random.Generator:

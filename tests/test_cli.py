@@ -477,6 +477,32 @@ def test_seed_override_reaches_sampled_stability_law(tmp_path):
     assert all(a != b for a, b in zip(outputs("flag"), outputs("own")))
 
 
+def test_sampled_law_total_too_large_exit_code_2(tmp_path, capsys):
+    # 2 blocks of 2**62 trials: the table's int64 sum would wrap to -2**63
+    doc = json.loads((SCENARIOS / "stability_fair_coin.json").read_text())
+    doc["stability"]["sampling"].update(
+        block_size=2 ** 62, segments=[{"probs": [1, 0], "blocks": 2}])
+    code = cli.main(["stability", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: stability: the trial total must "
+                          "stay below 2**63")
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+def test_output_path_through_a_file_exit_code_1(tmp_path, capsys, sub):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = cli.main(["stability", "--scenario",
+                     str(SCENARIOS / "stability_fair_coin.json"),
+                     "--out", str(taken / sub)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
 @pytest.mark.parametrize("seed", [2 ** 64, 2 ** 63])
 def test_seed_override_out_of_range_exit_code_2(tmp_path, capsys, seed):
     # --seed takes the range of the file's seed, not a value reduced mod 2**64
@@ -490,10 +516,13 @@ def test_seed_override_out_of_range_exit_code_2(tmp_path, capsys, seed):
 @pytest.mark.parametrize("command,name,path", [
     ("stability", "stability_drift", SEGMENT + ("blocks",)),
     ("tree", "tree_two_level", ("measurement", "n")),
-], ids=["sampling_blocks", "measurement_n"])
+    ("exp", "trace_experiment", ("dbb", "exp", "n_trials")),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_samples")),
+], ids=["sampling_blocks", "measurement_n", "exp_n_trials", "borncheck_n_samples"])
 def test_count_too_large_for_memory_exit_code_1(tmp_path, capsys, command, name,
                                                 path):
-    # 10**15 blocks or successions: the allocation is refused at once
+    # 10**15 blocks, successions, trials or samples: the allocation is
+    # refused at once
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     _set_path(doc, path, 10 ** 15)
     code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
@@ -646,6 +675,26 @@ def test_borncheck_repeated_momentum_exit_code_2(tmp_path, capsys):
     assert code == 2
     assert err.startswith("scenario error:")
     assert "momentum [1.0, 0.0, 2.0] appears twice" in err
+
+
+@pytest.mark.parametrize("change", [
+    {"components": [{"weight": [1.0, 0.0], "momentum": [1e308, 0.0, 0.0]},
+                    {"weight": [1.0, 0.0], "momentum": [-1e308, 0.0, 0.0]}]},
+    {"hbar": 1e-320},
+    {"components": [{"weight": [0.8e-200, 0.0], "momentum": [2.0, 0.0, 3.0]},
+                    {"weight": [0.6e-200, 0.0], "momentum": [2.0, 0.0, -3.0]}]},
+], ids=["momenta", "hbar", "weights"])
+def test_plane_waves_out_of_range_exit_code_2(tmp_path, capsys, change):
+    # qfact exp loads dbb.plane_waves without sampling it, so it ends even
+    # where a borncheck would sample forever
+    doc = copy.deepcopy(DBB_DOC)
+    doc["dbb"]["plane_waves"].update(change)
+    code = cli.main(["exp", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("scenario error: dbb.plane_waves: a derived quantity is "
+                   "out of range\n")
 
 
 def test_borncheck_command_outputs(tmp_path):

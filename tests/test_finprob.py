@@ -211,6 +211,14 @@ def test_law_invariants_enforced():
     assert law.n_total == 3
 
 
+def test_law_total_must_stay_below_2_63():
+    # an int64 table sum would wrap to -2**63
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        FactualLaw(LABELS, [[2 ** 62, 0], [2 ** 62, 0]], 2 ** 62, 0.02, 0.05)
+    law = FactualLaw(LABELS, [[2 ** 62, 0], [2 ** 61, 2 ** 60]], 2 ** 62, 0.02, 0.05)
+    assert law.n_total == 2 ** 62 + 2 ** 61 + 2 ** 60
+
+
 def test_json_declared_totals_must_match_block_table():
     doc = finprob.to_json_dict(fold(fresh(n0=3), [0, 1, 1, 0, 1]))
     bad_counts = dict(doc, counts={"a1": 3, "a2": 2})

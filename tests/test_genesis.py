@@ -26,7 +26,7 @@ from qfact.genesis import (
     time_of_flight,
 )
 from qfact.hilbert import OracleState, born_law, compose_superposition, random_observable, random_state
-from qfact.seeding import block_table, stream_seed
+from qfact.seeding import block_table
 
 
 def two_wave_fixture():
@@ -246,11 +246,10 @@ def test_run_laws_draws_observable_k_from_stream_k_n():
     psi = random_state(3, setup)
     obs = [random_observable(name, 3, setup) for name in "ABC"]
     g, n = Simple("G", state=psi), 4_000
-    laws = run_laws(g, obs, n, 0.02, 0.05, 500, np.random.default_rng(8))
-    seed = stream_seed(np.random.default_rng(8))
+    laws = run_laws(g, obs, n, 0.02, 0.05, 500, 8)
     assert list(laws) == ["A", "B", "C"]
     for k, o in enumerate(obs):
-        assert laws[o.name] == run_successions(g, o, n, 0.02, 0.05, 500, seed,
+        assert laws[o.name] == run_successions(g, o, n, 0.02, 0.05, 500, 8,
                                                trial_offset=k * n)
 
 

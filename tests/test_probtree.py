@@ -95,10 +95,9 @@ def test_branch_law_depends_only_on_slot_not_on_companions(abc_observables):
 @pytest.mark.parametrize("guided", [False, True])
 def test_tree_laws_are_run_laws(abc_observables, guided):
     g = Simple("G", state=OracleState(np.array([0.8, 0.6j])))
-    tree = build_tree(g, list(abc_observables), 5_000, 0.02, 0.05, 500,
-                      np.random.default_rng(12), guided=guided)
-    laws = run_laws(g, list(abc_observables), 5_000, 0.02, 0.05, 500,
-                    np.random.default_rng(12))
+    tree = build_tree(g, list(abc_observables), 5_000, 0.02, 0.05, 500, 12,
+                      guided=guided)
+    laws = run_laws(g, list(abc_observables), 5_000, 0.02, 0.05, 500, 12)
     assert {name: tree.law_for(name) for name in tree.observable_names()} == laws
 
 

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from qfact import dbb, genesis, hilbert, probtree
 from qfact.seeding import trial_generator
 
 
@@ -12,3 +14,35 @@ from qfact.seeding import trial_generator
 def test_trial_generator_keys_are_pinned(seed, stream, first):
     # frozen draws in the acceptance criteria are keyed on these streams
     assert int(trial_generator(seed, stream).integers(2 ** 63)) == first
+
+
+def test_keyed_runs_take_an_integer_seed():
+    # a keyed run's draws depend only on its integer seed, so a Generator,
+    # which would give another law on every call, is refused
+    obs = hilbert.basis_observable("A", 2)
+    g = genesis.Simple("G", state=hilbert.OracleState(np.array([0.6, 0.8])))
+    wave = dbb.TwoWaveState.from_corpuscle_speed(1e6, 0.1, 0.3, 9.109e-31)
+    waves = dbb.PlaneWaveSum(components=((1.0, (1, 0, 2)),), box=2 * np.pi)
+    runs = [
+        lambda seed: genesis.run_laws(g, [obs], 100, 0.02, 0.05, 10, seed),
+        lambda seed: probtree.build_tree(g, [obs], 100, 0.02, 0.05, 10, seed),
+        lambda seed: dbb.simulate_exp(wave, dbb.ExpConfig(1e-6, n_trials=10), seed),
+        lambda seed: dbb.extended_born_check(waves, 10, seed),
+    ]
+    for run in runs:
+        run(1)
+        with pytest.raises(TypeError):
+            run(np.random.default_rng(1))
+
+
+def test_specimens_draw_from_their_generator():
+    # the attachment protocol draws from the Generator it is given, without
+    # deriving a keyed stream from it
+    wave = dbb.TwoWaveState.from_corpuscle_speed(1e6, 0.1, 0.3, 9.109e-31)
+    g = genesis.Simple("G", state=hilbert.OracleState(np.array([1.0, 0.0])),
+                       attachment=wave)
+    gen = np.random.default_rng(3)
+    positions = [genesis.generate(g, gen).corpuscle_position for _ in range(3)]
+    again = np.random.default_rng(3)
+    assert [p[2] for p in positions] == [
+        dbb._sample_fringe(wave, again, 1, dbb.Z_PERIODS)[0] for _ in range(3)]
