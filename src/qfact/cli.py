@@ -1,9 +1,9 @@
 """Scenario-driven batch runner.
 
 One scenario file drives one command; every run writes its artifacts plus a
-manifest with per-output checksums.  All randomness comes from streams keyed
-by the scenario seed, so a re-run reproduces identical bytes; ``--workers`` is
-accepted and ignored.
+manifest with per-output checksums.  All randomness, retrieval restarts too,
+comes from ``seeding`` streams keyed by the scenario seed, so a re-run gives
+identical bytes; an output with a NaN or an infinity is refused.
 
 Commands: stability | tree | reconstruct | exp | borncheck
 """
@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,7 +30,10 @@ from .reconstruct import StateReconstructor, predict_heldout
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:  # JSON has no NaN or infinity; a reader would take them as errors
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise QfactError(f"an output holds a NaN or an infinity: {exc}") from None
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -37,6 +41,8 @@ def _csv_text(header: list[str], rows) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
+        if not all(math.isfinite(x) for x in row if isinstance(x, float)):
+            raise QfactError(f"an output row holds a NaN or an infinity: {row!r}")
         w.writerow([repr(x) if isinstance(x, float) else x for x in row])
     return buf.getvalue()
 
@@ -68,8 +74,7 @@ def cmd_stability(scn: scenario.Scenario) -> dict[str, str]:
 def cmd_tree(scn: scenario.Scenario) -> dict[str, str]:
     plan, recipe = scn.section("measurement"), scn.section("generation")
     tree = build_tree(recipe, [scn.observable(o) for o in plan.observables], plan.n,
-                      plan.epsilon, plan.delta, plan.block_size, scn.seed,
-                      guided=plan.guided)
+                      plan.epsilon, plan.delta, plan.block_size, scn.seed)
 
     outputs: dict[str, str] = {}
     verdicts: dict[str, dict] = {}

@@ -131,10 +131,11 @@ class CodedOutcome:
 
 def generate(g: GenerationOp, rng) -> Specimen:
     """Realize the recipe once, drawing an attachment's position from rng."""
+    rng = check_rng(rng)
     state = resolve_state(g)
     position = None
     if g.attachment is not None:
-        position = g.attachment.sample_position(check_rng(rng))
+        position = g.attachment.sample_position(rng)
     return Specimen(hidden_state=state, dbb_attachment=g.attachment,
                     corpuscle_position=position)
 
@@ -194,41 +195,40 @@ def time_of_flight(x_n, t_n: float, t0: float, m: float) -> np.ndarray:
     return m * np.asarray(x_n, dtype=float) / (t_n - t0)
 
 
-def _draw_law(labels, probs, n, eps, delta, n0, seed, trial_offset):
+def _draw_law(labels, probs, n, eps, delta, n0, seed, stream):
     """Law of n successions on the outcome law ``probs``: both runners' draw."""
     if n < 1:
         raise ValueError("need at least one succession")
-    table = block_table(seed, trial_offset, probs, n, n0)
+    table = block_table(seed, stream, probs, n, n0)
     return finprob.FactualLaw(labels, table, n0, eps, delta)
 
 
 def run_successions(g: GenerationOp, obs: ObservableSpec, n: int,
                     eps: float, delta: float, n0: int, seed: int,
-                    trial_offset: int = 0) -> finprob.FactualLaw:
+                    stream: int = 0) -> finprob.FactualLaw:
     """Accumulate n independent generate-then-measure successions.
 
     The hidden state is fixed by the recipe, so a block's outcome counts
     are one multinomial draw of n0 trials from its Born law: exactly the
     distribution of the per-trial successions.  The block table comes from
-    :func:`seeding.block_table` keyed by (seed, trial_offset); give each law
-    built from one seed its own offset.
+    :func:`seeding.block_table` keyed by (seed, stream); give each law
+    built from one seed its own stream.
     """
     return _draw_law(obs.labels(), born_law(resolve_state(g), obs), n, eps,
-                     delta, n0, seed, trial_offset)
+                     delta, n0, seed, stream)
 
 
 def run_laws(g: GenerationOp, observables, n: int, eps: float, delta: float,
              n0: int, seed: int) -> dict[str, finprob.FactualLaw]:
     """One law of n successions per observable, keyed by name: observable k's
-    from :func:`run_successions` on stream k*n of ``seed``."""
-    return {obs.name: run_successions(g, obs, n, eps, delta, n0, seed,
-                                      trial_offset=k * n)
+    from :func:`run_successions` on stream k of ``seed``."""
+    return {obs.name: run_successions(g, obs, n, eps, delta, n0, seed, stream=k)
             for k, obs in enumerate(observables)}
 
 
 def run_complete_successions(g: MultiSystem, obs_list, n: int,
                              eps: float, delta: float, n0: int, seed: int,
-                             trial_offset: int = 0
+                             stream: int = 0
                              ) -> tuple[finprob.FactualLaw, list[finprob.FactualLaw]]:
     """Batched complete measurements on a multi-system recipe.
 
@@ -243,7 +243,7 @@ def run_complete_successions(g: MultiSystem, obs_list, n: int,
     joint_law, dims = _joint_law(resolve_state(g), obs_list)
     joint_name = "*".join(o.name for o in obs_list)
     joint = _draw_law([f"{joint_name}:{k}" for k in range(joint_law.size)],
-                      joint_law, n, eps, delta, n0, seed, trial_offset)
+                      joint_law, n, eps, delta, n0, seed, stream)
     # factor i's block table: the joint table summed over the other factors
     per_factor = joint.blocks.reshape(-1, *dims)
     marginals = [

@@ -75,19 +75,14 @@ def partition_branches(observables: list[ObservableSpec]
 
 
 def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
-               eps: float, delta: float, n0: int, seed: int, guided: bool = False
-               ) -> ProbabilityTree:
+               eps: float, delta: float, n0: int, seed: int) -> ProbabilityTree:
     """One factual law per observable via repeated successions, grouped into
-    branches.  Guided-coding scenarios read every quantity off one trace, so
-    the tree degenerates to a single trunk regardless of commutation.
+    branches of pairwise-commuting observables.
 
     The laws come from :func:`genesis.run_laws`: observable k's from
-    stream k*n of ``seed``.
+    stream k of ``seed``.
     """
-    if guided:
-        groups = [CompatibilityGroup(tuple(o.name for o in observables))]
-    else:
-        groups = partition_branches(observables)
+    groups = partition_branches(observables)
     laws = run_laws(g, observables, n, eps, delta, n0, seed)
     branches = [(grp, {name: laws[name] for name in grp.members})
                 for grp in groups]

@@ -33,6 +33,7 @@ from .errors import (
     UnlinkedObservableError,
 )
 from .hilbert import TransformMatrix, dirac_transform
+from .seeding import RESTART_STREAM, trial_generator
 
 AMPLITUDE_SUM_TOL = 1e-8
 ZERO_AMP = 1e-12
@@ -54,7 +55,7 @@ class RetrievalConfig:
     restarts: int = 32
     tol: float = 1e-10          # accept the fit when R falls at or below this
     stop_tol: float | None = None  # descend no further; None: tol * 1e-10
-    seed: int = 0
+    seed: int = 0               # keys the restarts' stream, RESTART_STREAM
 
     def __post_init__(self):
         if self.stop_tol is None:
@@ -259,10 +260,9 @@ def retrieve_phases(law_a,
     # anchor the optimization gauge on the largest amplitude: fixing a
     # near-zero component would leave a nearly flat global-rotation direction
     anchor = int(np.argmax(amp))
-    rng = np.random.default_rng(cfg.seed)
     alpha0 = np.zeros((cfg.restarts, d))
-    if cfg.restarts > 1:
-        alpha0[1:] = rng.uniform(-np.pi, np.pi, size=(cfg.restarts - 1, d))
+    alpha0[1:] = trial_generator(cfg.seed, RESTART_STREAM).uniform(
+        -np.pi, np.pi, size=(cfg.restarts - 1, d))
     alpha0[:, anchor] = 0.0
 
     alphas, values = _descend(alpha0, amp, partners, MAX_ITER, cfg.stop_tol, anchor)

@@ -42,7 +42,6 @@ class MeasurementPlan:
     epsilon: float = finprob.DEFAULT_EPSILON
     delta: float = finprob.DEFAULT_DELTA
     block_size: int = finprob.DEFAULT_BLOCK_SIZE
-    guided: bool = False
 
     def __post_init__(self):
         if not self.observables or len(set(self.observables)) < len(self.observables):
@@ -139,7 +138,6 @@ def _complex(v) -> complex:
 
 _object = _instance(dict, "an object")
 _string = _instance(str, "a string")
-_flag = _instance(bool, "true or false")
 _any = _instance(object, "any value")
 _names, _reals = _list_of(_string), _list_of(_real)
 _complex_vector = _list_of(_complex)
@@ -319,7 +317,7 @@ _SECTIONS = {
     "transforms": _transforms,
     "measurement": lambda doc, scn: MeasurementPlan(**_fields(
         doc, observables=_list_of(_observable_name(scn)), n=_positive, epsilon=_real,
-        delta=_real, block_size=_integer, guided=_flag)),
+        delta=_real, block_size=_integer)),
     "stability": _stability,
     "reconstruction": _reconstruction,
     "dbb.two_wave": _two_wave,

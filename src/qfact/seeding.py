@@ -1,9 +1,12 @@
-"""Keyed random streams for reproducible Monte Carlo.
+"""Keyed random streams, the one source of the keyed runs' randomness.
 
-Every sampler draws from numpy Generators addressed by (seed, stream): a
-law's block table from one stream, a pilot-wave run from one stream per
-role.  A stream's Generator is seeded by the splitmix64 finalizer of
-(seed, stream).
+A Generator addressed by (seed, stream) is seeded by the splitmix64 finalizer
+of the pair.  The streams of a seed: ``genesis.run_laws`` draws observable
+k's law from stream k, a ``stability.sampling`` law takes stream 0; a
+pilot-wave run draws positions from stream 0, ionization counts and kicks
+from stream 1; phase retrieval draws its restart starts from
+``RESTART_STREAM``, which no law takes, as a sampled reconstruction keys its
+laws and restarts on one seed.  The specimen API draws from a Generator.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SHIFT30 = np.uint64(30)
 _SHIFT27 = np.uint64(27)
 _SHIFT31 = np.uint64(31)
+
+RESTART_STREAM = 1 << 63
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ structural invariant, and raises a descriptive error otherwise.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -78,12 +77,10 @@ def check_strictly_increasing(values, name="eigenvalues") -> np.ndarray:
 
 
 def check_rng(rng) -> np.random.Generator:
-    """Accept a Generator, a seed, or None and return a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None or isinstance(rng, numbers.Integral):
-        return np.random.default_rng(rng)
-    raise TypeError(f"expected a numpy Generator or integer seed, got {type(rng)!r}")
+    """The Generator a specimen draws from; keyed runs take a seed instead."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"expected a numpy Generator, got {type(rng)!r}")
+    return rng
 
 
 def check_in_unit_interval(x, name) -> float:

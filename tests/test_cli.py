@@ -2,17 +2,21 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfact import cli, finprob, scenario
-from qfact.errors import ScenarioError
+from qfact.errors import QfactError, ScenarioError
 from qfact.genesis import Composed, Evolved, MultiSystem, Simple
 
 RT2 = 1 / math.sqrt(2)
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS, SRC = ROOT / "scenarios", ROOT / "src"
 
 TWO_LEVEL = {
     "states": {"psi": [[0.6, 0.0], [0.0, 0.8]]},
@@ -256,6 +260,7 @@ def test_malformed_scenario_exit_code_2(tmp_path, capsys, command, name,
      ("dbb", "exp", "elastic_interactions_per_trial"), 0),
     ("exp", "trace_experiment", ("dbb", "exp", "kick_half_width"), 1.0),
     ("tree", "tree_two_level", ("generation", "attachment"), "two_wave"),
+    ("tree", "tree_two_level", ("measurement", "guided"), True),
 ])
 def test_unknown_field_named_exit_code_2(tmp_path, capsys, command, name,
                                          path, value):
@@ -415,20 +420,6 @@ def test_tree_two_branches(tmp_path):
     tree = json.loads((tmp_path / "out" / "tree.json").read_text())
     assert tree["trunk_only"] is False
     assert len(tree["branches"]) == 2
-
-
-def test_tree_guided_plan_single_trunk(tmp_path):
-    doc = dict(TWO_LEVEL, seed=3,
-               measurement={"observables": ["A", "B"], "n": 2_000,
-                            "epsilon": 0.02, "delta": 0.05,
-                            "block_size": 500, "guided": True})
-    path = write_scenario(tmp_path, doc)
-    assert cli.main(["tree", "--scenario", path,
-                     "--out", str(tmp_path / "out")]) == 0
-    tree = json.loads((tmp_path / "out" / "tree.json").read_text())
-    assert tree["trunk_only"] is True
-    assert len(tree["branches"]) == 1
-    assert set(tree["branches"][0]["members"]) == {"A", "B"}
 
 
 def test_tree_byte_identical_across_worker_counts(tmp_path):
@@ -697,6 +688,36 @@ def test_plane_waves_out_of_range_exit_code_2(tmp_path, capsys, change):
                    "out of range\n")
 
 
+@pytest.mark.parametrize("command,section,change", [
+    ("borncheck", "plane_waves", {"box": 1e-300, "components": [
+        {"weight": [0.8, 0.0], "momentum": [0.9e308, 0.0, 0.0]},
+        {"weight": [0.6, 0.0], "momentum": [0.95e308, 0.0, 0.0]}]}),
+    ("exp", "exp", {"lambda_sep": 5e-324}),
+], ids=["pair_sum_overflows", "lambda_sep_subnormal"])
+def test_non_finite_output_exit_code_1(tmp_path, command, section, change):
+    # a p_0 + p_1 that overflows to inf, and a flight time that makes the
+    # momentum spread NaN: JSON cannot hold either, so nothing is written.
+    # Run as a user runs it, where numpy's overflow warnings stay warnings.
+    doc = copy.deepcopy(DBB_DOC)
+    doc["dbb"][section].update(change)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfact.cli", command, "--scenario",
+         write_scenario(tmp_path, doc), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "\nerror: an output holds a NaN or an infinity" in "\n" + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_csv_refuses_non_finite_numbers(x):
+    with pytest.raises(QfactError, match="NaN or an infinity"):
+        cli._csv_text(["lambda", "mean_abs_gamma"], [(1.0, 0.5), (2.0, x)])
+
+
 def test_borncheck_command_outputs(tmp_path):
     path = write_scenario(tmp_path, DBB_DOC)
     assert cli.main(["borncheck", "--scenario", path,
@@ -749,9 +770,9 @@ def test_rerun_reproduces_checksums(tmp_path):
 SHIPPED_CHECKSUMS = {
     ("tree", "tree_two_level"): {
         "law_A.csv": "98246f3aa9c171a60cd2c2a07ddadf87e843937da2231826b4e746ee2209adb9",
-        "law_B.csv": "b7aa9200b7795c751b396501deca916432779a8164b4bdf4a45c8ee2829c386c",
-        "law_C.csv": "ccc2deaf0234e1743c4e91f5802b70d3e3925e060a6ff209da13473fab0ccdec",
-        "tree.json": "0c7fccd3325c738bbbd383c7b132813ab06de8dfeee2493bdf1b77087f09000a",
+        "law_B.csv": "61e5f521e092e60c8811e1882e95583e886b12457e52b4a8758bc38d3cddc160",
+        "law_C.csv": "bff117fc908f60320fda04bc3e56a57d3b959af258f760884285ff31a560113b",
+        "tree.json": "85609abea89eb66fccfd48f4ac713a0a54d6c8fec1da4aa4299b86214f0af689",
     },
     ("stability", "stability_drift"): {
         "law.csv": "1f093b4bb4ef6db119d17898e40a6d1c6723e6298a2e774f2adfea5b0dc26775",
@@ -762,9 +783,9 @@ SHIPPED_CHECKSUMS = {
         "stability_verdict.json": "2137cec70cc4867f2e2c803b371cb4ee187508113c9d5e67b82256b927d746f9",
     },
     ("reconstruct", "reconstruct_two_level"): {
-        "expansion.json": "7d9d5f66b3e2e078f243ea582eb01ea8bdaa41b353f16fb0fba4b2ac19c9018f",
-        "predicted_B.json": "ad8f70713188f9c9baa11156a6fad4bf2c192f7242107c90d26c925af040c765",
-        "retrieval_report.json": "7809c52b072f5cc6c93a031ea6ed2b586c4143c929c812dce239540d5b2034e7",
+        "expansion.json": "b3b072f94236634ab3a8a3a03d85c553dfbfe24091d974ab3e9fe08a3a3eb739",
+        "predicted_B.json": "cf01ddf2fade1e56a8fd26325f27811199b46eb9bedd9ab106b83b5fef6d4c7e",
+        "retrieval_report.json": "de3507139e2750196ef7a662ecc45e5cfaec8370c83fef75c51205ce4d6bf422",
     },
     ("exp", "trace_experiment"): {
         "exp_direction_hist.csv": "341d974025a315ecb20074add0d535e151b2b12e30beac1fa03e29b3be50836a",

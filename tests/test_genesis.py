@@ -210,17 +210,17 @@ def test_run_successions_rejects_zero_trials(rng):
 
 
 def test_run_successions_keyed_by_seed_and_offset():
-    # a law depends only on (seed, trial_offset): each offset is its own stream
+    # a law depends only on (seed, stream)
     psi = OracleState(np.array([0.6, 0.8]))
     obs = hilbert.basis_observable("X", 2)
 
-    def law(seed, offset):
+    def law(seed, stream):
         return run_successions(Simple("G", state=psi), obs, 5_000,
-                               0.02, 0.05, 1_000, seed, trial_offset=offset)
+                               0.02, 0.05, 1_000, seed, stream=stream)
 
     assert law(99, 0) == law(99, 0)
-    assert law(99, 5_000) == law(99, 5_000)
-    assert law(99, 5_000) != law(99, 0)
+    assert law(99, 1) == law(99, 1)
+    assert law(99, 1) != law(99, 0)
     assert law(100, 0) != law(99, 0)
 
 
@@ -235,13 +235,13 @@ def test_one_factor_runs_are_the_complete_measurement_runs():
     assert coded == [mes_complete(generate(g, g2), [obs], g2, trial_id=t)[0]
                      for t in range(200)]
     assert len({c.eigen_index for c in coded}) == 3
-    law = run_successions(g, obs, 25_000, 0.02, 0.05, 1_000, 17, trial_offset=3)
+    law = run_successions(g, obs, 25_000, 0.02, 0.05, 1_000, 17, stream=3)
     joint, (marginal,) = run_complete_successions(g, [obs], 25_000, 0.02, 0.05,
-                                                  1_000, 17, trial_offset=3)
+                                                  1_000, 17, stream=3)
     assert joint == law and marginal == law
 
 
-def test_run_laws_draws_observable_k_from_stream_k_n():
+def test_run_laws_draws_observable_k_from_stream_k():
     setup = np.random.default_rng(42)
     psi = random_state(3, setup)
     obs = [random_observable(name, 3, setup) for name in "ABC"]
@@ -250,7 +250,7 @@ def test_run_laws_draws_observable_k_from_stream_k_n():
     assert list(laws) == ["A", "B", "C"]
     for k, o in enumerate(obs):
         assert laws[o.name] == run_successions(g, o, n, 0.02, 0.05, 500, 8,
-                                               trial_offset=k * n)
+                                               stream=k)
 
 
 # --- block_table ------------------------------------------------------------

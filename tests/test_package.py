@@ -39,3 +39,11 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert qfact.__version__ == project["version"]
+
+
+def test_default_rng_only_in_seeding():
+    # every draw goes through a keyed stream or a Generator the caller
+    # passes in, so only seeding may build a Generator
+    users = [p.name for p in (SRC / "qfact").glob("*.py")
+             if "default_rng" in p.read_text()]
+    assert users == ["seeding.py"]

@@ -71,16 +71,6 @@ def test_two_noncommuting_observables_two_stable_branches(abc_observables):
         assert finprob.check_convergence(tree.law_for(name)).stable
 
 
-def test_guided_scenario_single_trunk(abc_observables):
-    a, _, c = abc_observables
-    psi = OracleState(np.array([0.8, 0.6j]))
-    tree = build_tree(Simple("G", state=psi), [a, c], 1_000,
-                      0.02, 0.05, 100, 5, guided=True)
-    assert tree.trunk_only
-    assert len(tree.branches) == 1
-    assert set(tree.branches[0][0].members) == {"A", "C"}
-
-
 def test_branch_law_depends_only_on_slot_not_on_companions(abc_observables):
     # each observable's law is a function of (seed, its task slot): adding
     # more observables to the plan never perturbs an existing branch
@@ -92,11 +82,9 @@ def test_branch_law_depends_only_on_slot_not_on_companions(abc_observables):
     assert pair.law_for("A") == alone.law_for("A")
 
 
-@pytest.mark.parametrize("guided", [False, True])
-def test_tree_laws_are_run_laws(abc_observables, guided):
+def test_tree_laws_are_run_laws(abc_observables):
     g = Simple("G", state=OracleState(np.array([0.8, 0.6j])))
-    tree = build_tree(g, list(abc_observables), 5_000, 0.02, 0.05, 500, 12,
-                      guided=guided)
+    tree = build_tree(g, list(abc_observables), 5_000, 0.02, 0.05, 500, 12)
     laws = run_laws(g, list(abc_observables), 5_000, 0.02, 0.05, 500, 12)
     assert {name: tree.law_for(name) for name in tree.observable_names()} == laws
 
