@@ -62,6 +62,10 @@ class TwoWaveState:
             raise ValueError("parameters and derived quantities must be finite")
         if abs(self.guided_speed) >= self.c:
             raise ValueError("guided speed (c^2/V) sin(theta0) must stay below c")
+        # every relative phase has a representative here; a far larger one
+        # rounds the z-dependence out of cos(chi z + delta/2) in floats
+        if abs(self.delta_phase) > 2.0 * math.pi:
+            raise ValueError("delta_phase must lie in [-2 pi, 2 pi]")
 
     @classmethod
     def from_corpuscle_speed(cls, v12: float, theta0: float, delta_phase: float,
@@ -244,8 +248,10 @@ class ExpConfig:
     def __post_init__(self):
         if self.lambda_sep <= 0:
             raise ValueError("lambda_sep must be positive")
-        if self.kappa is not None and self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
+        if self.kappa is not None and not (
+                self.kappa >= 0 and math.isfinite(self.kappa * KICK_HALF_WIDTH)):
+            raise ValueError("kappa must be non-negative, and kappa * "
+                             "KICK_HALF_WIDTH finite")
         if self.kick_law not in ("uniform", "normal"):
             raise ValueError(f"kick_law must be 'uniform' or 'normal', "
                              f"got {self.kick_law!r}")

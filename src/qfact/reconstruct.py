@@ -151,53 +151,47 @@ def _wrap_phase(alpha: np.ndarray) -> np.ndarray:
 
 
 def _residual_terms(alpha: np.ndarray, amp: np.ndarray, tau: np.ndarray,
-                    law: np.ndarray, anchor: int = 0, jacobian: bool = True):
+                    law: np.ndarray, anchor: int = 0):
     """Residual terms r_k = |d_k|^2 - pi_B(k) of the stacked partners, shape
-    (m, K), and, unless ``jacobian`` is false, their Jacobian
-    dr_k/dalpha_j = -2 Im(conj(d_k) tau_kj c_j), shape (m, K, d), with the
-    anchor column zero (gauge freedom)."""
+    (m, K), and their Jacobian dr_k/dalpha_j = -2 Im(conj(d_k) tau_kj c_j),
+    shape (m, K, d), with the anchor column zero (gauge freedom)."""
     c = amp * np.exp(1j * alpha)
     d = c @ tau.T
     r = np.abs(d) ** 2 - law
-    if not jacobian:
-        return r
     jac = -2.0 * np.imag(d.conj()[:, :, None] * tau * c[:, None, :])
     jac[:, :, anchor] = 0.0
     return r, jac
 
 
-def _descend(alpha: np.ndarray, amp: np.ndarray, partners, max_iter: int,
-             stop_tol: float, anchor: int = 0):
-    """Levenberg-Marquardt, batched over restarts: each step solves
-    (J^T J + lambda I) s = -J^T r for every active restart and is kept only
-    where it lowers R; lambda shrinks on a kept step, grows on a rejected
-    one.  A restart stops at R <= stop_tol, at lambda > DAMPING_CAP, or when
-    a kept step lowers R by a relative FLOOR_FTOL or less (a floor above
-    zero).  The Jacobian is evaluated for kept steps only."""
-    tau = np.concatenate([tau for tau, _ in partners])
-    law = np.concatenate([law for _, law in partners])
+def _descend(alpha: np.ndarray, amp: np.ndarray, tau: np.ndarray,
+             law: np.ndarray, stop_tol: float, anchor: int = 0):
+    """Levenberg-Marquardt on the partners' stacked transforms and laws,
+    batched over restarts: each step solves (J^T J + lambda I) s = J^T r for
+    every active restart and keeps alpha - s only where it lowers R; lambda
+    shrinks on a kept step, grows on a rejected one.  A restart stops at
+    R <= stop_tol, at lambda > DAMPING_CAP, when a kept step lowers R by a
+    relative FLOOR_FTOL or less (a floor above zero), or after MAX_ITER
+    steps.  A step evaluates its candidates once, residual and Jacobian
+    together, and a kept candidate brings both along."""
     r, jac = _residual_terms(alpha, amp, tau, law, anchor)
     value = np.sum(r ** 2, axis=1)
     damping = np.full(alpha.shape[0], DAMPING_START)
     active = value > stop_tol
     eye = np.eye(alpha.shape[1])
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        jac_idx = jac[idx]
-        jt = np.swapaxes(jac_idx, 1, 2)
-        normal = jt @ jac_idx + damping[idx, None, None] * eye
-        step = np.linalg.solve(normal, -(jt @ r[idx, :, None]))[..., 0]
-        cand = alpha[idx] + step
-        cand_r = _residual_terms(cand, amp, tau, law, anchor, jacobian=False)
+        jt = np.swapaxes(jac[idx], 1, 2)
+        normal = jt @ jac[idx] + damping[idx, None, None] * eye
+        cand = alpha[idx] - np.linalg.solve(normal, jt @ r[idx, :, None])[..., 0]
+        cand_r, cand_jac = _residual_terms(cand, amp, tau, law, anchor)
         cand_value = np.sum(cand_r ** 2, axis=1)
         ok = cand_value < value[idx]
         kept = idx[ok]
         floor = value[kept] - cand_value[ok] <= FLOOR_FTOL * value[kept]
-        if kept.size:
-            alpha[kept], value[kept], r[kept] = cand[ok], cand_value[ok], cand_r[ok]
-            jac[kept] = _residual_terms(alpha[kept], amp, tau, law, anchor)[1]
+        alpha[kept], value[kept] = cand[ok], cand_value[ok]
+        r[kept], jac[kept] = cand_r[ok], cand_jac[ok]
         damping[idx] = np.maximum(
             damping[idx] * np.where(ok, DAMPING_SHRINK, DAMPING_GROW), DAMPING_FLOOR)
         active[idx] = (value[idx] > stop_tol) & (damping[idx] <= DAMPING_CAP)
@@ -256,6 +250,7 @@ def retrieve_phases(law_a,
             raise DimensionMismatchError(
                 f"transform to {name!r} has dim {tau.dim}, reference has {d}")
         partners.append((tau.entries, law_vector(law)))
+    tau, law = map(np.concatenate, zip(*partners))
 
     # anchor the optimization gauge on the largest amplitude: fixing a
     # near-zero component would leave a nearly flat global-rotation direction
@@ -265,13 +260,12 @@ def retrieve_phases(law_a,
         -np.pi, np.pi, size=(cfg.restarts - 1, d))
     alpha0[:, anchor] = 0.0
 
-    alphas, values = _descend(alpha0, amp, partners, MAX_ITER, cfg.stop_tol, anchor)
+    alphas, values = _descend(alpha0, amp, tau, law, cfg.stop_tol, anchor)
     # best first, in the standard gauge: first phase 0, and 0 where no amplitude
     order = np.argsort(values, kind="stable")
     values = values[order]
     alphas = _wrap_phase(alphas[order] - alphas[order, :1])
     alphas[:, amp <= ZERO_AMP] = 0.0
-    alphas[:, 0] = 0.0
     best_val = float(values[0])
 
     if best_val > cfg.tol:

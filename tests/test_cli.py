@@ -186,6 +186,10 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("exp", "trace_experiment", ("dbb", "two_wave", "m0"), 1e300),
     ("exp", "trace_experiment", ("dbb", "two_wave", "v12"), 1e-300),
     ("borncheck", "trace_experiment", ("dbb", "two_wave", "m0"), 1e-300),
+    ("exp", "trace_experiment", ("dbb", "two_wave", "theta0"), 5e-324),
+    ("exp", "trace_experiment", ("dbb", "exp", "lambda_sep"), 5e-324),
+    ("exp", "trace_experiment", ("dbb", "exp", "kappa"), 1.7976931348623157e308),
+    ("exp", "trace_experiment", ("dbb", "two_wave", "delta_phase"), 1e100),
     ("tree", "tree_two_level", ("seed",), "x"),
     ("stability", "stability_drift", ("seed",), True),
     ("exp", "trace_experiment", ("dbb", "plane_waves", "box"), "x"),
@@ -213,7 +217,9 @@ SEGMENT = ("stability", "sampling", "segments", 0)
 ], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
         "n_type", "segment_type", "n_samples_type", "sampling_type",
         "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
-        "v12_underflow", "m0_underflow", "seed_type", "seed_bool", "unused_section",
+        "v12_underflow", "m0_underflow", "flight_time_overflow",
+        "lambda_sep_subnormal", "kappa_overflow", "delta_phase_large",
+        "seed_type", "seed_bool", "unused_section",
         "misspelt_field", "misspelt_section", "restarts_zero", "tol_zero",
         "tol_negative", "sampled_n_zero", "source_measured", "observables_empty",
         "partners_empty", "observables_repeated", "partners_repeated",
@@ -692,11 +698,12 @@ def test_plane_waves_out_of_range_exit_code_2(tmp_path, capsys, change):
     ("borncheck", "plane_waves", {"box": 1e-300, "components": [
         {"weight": [0.8, 0.0], "momentum": [0.9e308, 0.0, 0.0]},
         {"weight": [0.6, 0.0], "momentum": [0.95e308, 0.0, 0.0]}]}),
-    ("exp", "exp", {"lambda_sep": 5e-324}),
-], ids=["pair_sum_overflows", "lambda_sep_subnormal"])
+    ("exp", "exp", {"lambda_sep": 1.7976931348623157e308}),
+], ids=["pair_sum_overflows", "lambda_sep_largest"])
 def test_non_finite_output_exit_code_1(tmp_path, command, section, change):
-    # a p_0 + p_1 that overflows to inf, and a flight time that makes the
-    # momentum spread NaN: JSON cannot hold either, so nothing is written.
+    # a p_0 + p_1 that overflows to inf, and flight distances (lambda_sep
+    # times the scaling factors) that overflow to inf: JSON cannot hold
+    # either, so nothing is written.
     # Run as a user runs it, where numpy's overflow warnings stay warnings.
     doc = copy.deepcopy(DBB_DOC)
     doc["dbb"][section].update(change)
@@ -832,7 +839,8 @@ def test_normal_kick_law_bytes_pinned(tmp_path):
 
 
 # every leaf and list of a shipped scenario set to each of these values in turn
-MUTANTS = ("x", -1, None, [], {}, 0, 1e300, 1e-300, True)
+MUTANTS = ("x", -1, None, [], {}, 0, 1e300, 1e-300, True, 5e-324,
+           1.7976931348623157e308)
 # heavy counts of the shipped scenarios, cut before any mutation
 SHRUNK = {("measurement", "n"): 20_000, ("dbb", "exp", "n_trials"): 500,
           ("dbb", "borncheck", "n_samples"): 500,

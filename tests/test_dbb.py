@@ -424,6 +424,20 @@ def test_two_wave_state_invariants():
     with pytest.raises(ValueError):
         TwoWaveState.from_corpuscle_speed(v12=4e8, theta0=0.1,
                                           delta_phase=0.0, m0=9.1e-31)
+    # a relative phase past one turn either way is refused; the bounds pass
+    for delta in (-2 * math.pi, 2 * math.pi):
+        TwoWaveState.from_corpuscle_speed(v12=1e6, theta0=0.1,
+                                          delta_phase=delta, m0=9.1e-31)
+    with pytest.raises(ValueError, match="delta_phase"):
+        TwoWaveState.from_corpuscle_speed(v12=1e6, theta0=0.1,
+                                          delta_phase=1e100, m0=9.1e-31)
+
+
+@pytest.mark.parametrize("kappa", [-1.0, math.nan, 1.7976931348623157e308])
+def test_exp_config_refuses_kappa(kappa):
+    # kicks are KICK_HALF_WIDTH * kappa times a draw: that scale must be finite
+    with pytest.raises(ValueError, match="kappa"):
+        ExpConfig(lambda_sep=1e-6, kappa=kappa)
 
 
 # --- plane-wave terms, guidance and sampling, against oracles in this file -----

@@ -135,20 +135,22 @@ def test_reported_solution_is_gauged():
     assert phases[0] == 0.0
 
 
-def test_descent_is_monotone(rng):
+def test_descent_is_monotone(rng, monkeypatch):
     # value after k+1 iterations never exceeds value after k iterations
     psi = random_state(4, rng)
     ref = basis_observable("A", 4)
     b = random_observable("B", 4, rng)
     c = random_observable("C", 4, rng)
     amp = np.sqrt(born_law(psi, ref))
-    partners = [(transform_between(ref, b).entries, born_law(psi, b)),
-                (transform_between(ref, c).entries, born_law(psi, c))]
+    tau = np.concatenate([transform_between(ref, o).entries for o in (b, c)])
+    law = np.concatenate([born_law(psi, o) for o in (b, c)])
     start = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(4, 4))
     start[:, 0] = 0.0
-    prev = _descend(start.copy(), amp, partners, 0, 0.0)[1]
+    monkeypatch.setattr(reconstruct, "MAX_ITER", 0)
+    prev = _descend(start.copy(), amp, tau, law, 0.0)[1]
     for iters in range(1, 40):
-        _, value = _descend(start.copy(), amp, partners, iters, 0.0)
+        monkeypatch.setattr(reconstruct, "MAX_ITER", iters)
+        _, value = _descend(start.copy(), amp, tau, law, 0.0)
         assert np.all(value <= prev + 1e-18)
         prev = value
 
@@ -162,8 +164,6 @@ def test_jacobian_matches_central_differences(dim):
     anchor = int(np.argmax(amp))
     alpha = np.random.default_rng(dim).uniform(-np.pi, np.pi, size=(3, dim))
     r, jac = _residual_terms(alpha, amp, tau, law, anchor)
-    r_alone = _residual_terms(alpha, amp, tau, law, anchor, jacobian=False)
-    assert np.array_equal(r_alone, r)
     # R = sum_k r_k^2, against the residual written out, and its gradient 2 J^T r
     value, grad = np.sum(r ** 2, axis=1), 2.0 * np.einsum("mkj,mk->mj", jac, r)
     coeff = amp * np.exp(1j * alpha)
@@ -184,7 +184,27 @@ def test_jacobian_matches_central_differences(dim):
         assert grad[:, j] == pytest.approx(fd_grad, abs=1e-8)
 
 
-def test_descent_stops_restarts_on_a_residual_floor():
+def test_one_model_evaluation_per_step(monkeypatch):
+    # each LM step solves once and evaluates its candidates once, residual
+    # and Jacobian together; the start adds the one evaluation more
+    calls = {"residual": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(reconstruct, "_residual_terms",
+                        counted("residual", reconstruct._residual_terms))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    _, _, partners, _, laws, taus = oracle_setup(3, 11, heldout=False)
+    retrieve_phases(laws["A"], {o.name: laws[o.name] for o in partners}, taus)
+    assert calls["solve"] > 1
+    assert calls["residual"] == calls["solve"] + 1
+
+
+def test_descent_stops_restarts_on_a_residual_floor(monkeypatch):
     # partner B1's law comes from another state, so no phases fit and every
     # restart ends on a floor above zero; with no stop tolerance each one
     # stops on the relative-reduction test well before iteration 45, so
@@ -193,12 +213,15 @@ def test_descent_stops_restarts_on_a_residual_floor():
         psi, ref, partners, _, laws, taus = oracle_setup(4, 4242 + s)
         laws["B1"] = born_law(oracle_setup(4, 9999 + s)[0], partners[1])
         amp = np.sqrt(laws["A"])
-        pairs = [(taus[o.name].entries, laws[o.name]) for o in partners]
+        tau = np.concatenate([taus[o.name].entries for o in partners])
+        law = np.concatenate([laws[o.name] for o in partners])
         anchor = int(np.argmax(amp))
         start = np.random.default_rng(s).uniform(-np.pi, np.pi, size=(16, 4))
         start[:, anchor] = 0.0
-        short, value = _descend(start.copy(), amp, pairs, 45, 0.0, anchor)
-        long, _ = _descend(start.copy(), amp, pairs, 5000, 0.0, anchor)
+        monkeypatch.setattr(reconstruct, "MAX_ITER", 45)
+        short, value = _descend(start.copy(), amp, tau, law, 0.0, anchor)
+        monkeypatch.setattr(reconstruct, "MAX_ITER", 5000)
+        long, _ = _descend(start.copy(), amp, tau, law, 0.0, anchor)
         assert value.min() > 1e-3
         assert np.array_equal(short, long)
 
