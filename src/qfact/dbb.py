@@ -26,6 +26,34 @@ from .seeding import trial_generator
 _POSITIONS, _KICKS = 0, 1  # a run's streams: positions; ionization counts and kicks
 _MAX_BATCH = 1 << 16  # most candidates in one rejection round: bounds memory
 
+# The rejection samplers first compare each candidate's uniform with a float32
+# surrogate of its density (a squeeze); a candidate whose uniform lies within
+# the margin of the surrogate is decided on the float64 density instead, so
+# every decision is the one the float64 density makes.
+#
+# Fringe: cos(float32(x))^2 against cos(x)^2, x = chi z + delta/2 in
+# [-5 pi, 5 pi] (8 periods of pi/chi, and |delta/2| <= pi).  The cast moves
+# x by at most 5 pi 2^-24 = 9.4e-7, and |d cos^2(x)/dx| = |sin 2x| <= 1;
+# float32 cos errs by at most 4 ulp (2.4e-7), which the square doubles to
+# 4.8e-7; the square itself rounds by 6e-8.  The sum, 1.5e-6, stays under a
+# quarter of the margin.
+_FRINGE_MARGIN = 1e-5
+# Box: |sum_n a_n exp(i phi_n)|^2 in float32 against |psi|^2 / (sum |w_n|)^2,
+# a_n = w_n / sum |w_n|, so that sum |a_n| = 1.  Each phase is reduced by a
+# multiple of 2 pi in float64 (error under 2^20 2^-52 = 2.3e-10 below the
+# phase limit) and cast to float32 (|phi| <= pi: at most 2^-23 = 1.2e-7).
+# Per term, float32 cos and sin err by at most 4 ulp each (2.4e-7 each), the
+# cast of a_n and the products by 3 2^-24 (1.8e-7): 8e-7 of |a_n| in all, so
+# 8e-7 over the sum; each of the N - 1 additions rounds by at most 2^-24 of a
+# partial sum bounded by 1, in the real and the imaginary part (8.4e-8 each).
+# The squared modulus, bounded by 1, moves by at most twice the error of psi
+# plus 1.8e-7 for its own rounding: 1.8e-6 + 1.7e-7 N <= 2e-6 N for N >= 1
+# waves, under a quarter of the margin of N 2^-16 = 1.5e-5 N.
+_BOX_MARGIN = 2.0 ** -16  # per plane wave, in units of the density bound
+# a round whose largest phase reaches this takes the float64 path throughout:
+# the box bound above holds below it, and no inf or NaN reaches float32
+_BOX_PHASE_LIMIT = 2.0 ** 20
+
 
 # --------------------------------------------------------------------------
 # two-plane-wave interference state
@@ -124,15 +152,19 @@ class TwoWaveState:
         return guided_momentum(self)
 
 
+def _fringe_arg(s: TwoWaveState, z) -> np.ndarray:
+    """The argument chi z + delta/2 of the fringe cosine."""
+    return s.chi * np.asarray(z, dtype=float) + s.delta_phase / 2.0
+
+
 def amplitude(s: TwoWaveState, z) -> np.ndarray:
     """Wave amplitude sqrt(2) cos(chi z + delta/2); stationary in time."""
-    return np.sqrt(2.0) * np.cos(s.chi * np.asarray(z, dtype=float)
-                                 + s.delta_phase / 2.0)
+    return np.sqrt(2.0) * np.cos(_fringe_arg(s, z))
 
 
 def fringe_density(s: TwoWaveState, z) -> np.ndarray:
     """Squared amplitude, normalized to peak 1."""
-    return np.cos(s.chi * np.asarray(z, dtype=float) + s.delta_phase / 2.0) ** 2
+    return np.cos(_fringe_arg(s, z)) ** 2
 
 
 def guided_velocity(s: TwoWaveState) -> np.ndarray:
@@ -164,11 +196,12 @@ def default_kappa(s: TwoWaveState) -> float:
     return s.h ** 2 * s.chi / (4.0 * math.pi * s.c ** 2 * s.m0 ** 2)
 
 
-def ionization_kick(dd: float, kappa: float) -> float:
-    """Fringe displacement from one interaction: delta_z = -kappa * delta_delta."""
+def ionization_kick(dd, kappa: float, out=None):
+    """Fringe displacement from interactions: delta_z = -kappa * delta_delta,
+    elementwise; ``out`` may be ``dd`` itself."""
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    return -kappa * dd
+    return np.multiply(-kappa, dd, out=out)
 
 
 def trace_angles(kicks, spacings) -> np.ndarray:
@@ -208,15 +241,30 @@ def _rejection_sample(n: int, rate: float, propose) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _fringe_squeeze(s: TwoWaveState, z) -> np.ndarray:
+    """float32 surrogate cos(float32(chi z + delta/2))^2 of the fringe density."""
+    squeeze = np.cos(_fringe_arg(s, z).astype(np.float32))
+    squeeze *= squeeze
+    return squeeze
+
+
 def _sample_fringe(s: TwoWaveState, gen: np.random.Generator, n: int,
                    n_periods: int) -> np.ndarray:
     """n draws of z from the fringe density, by rejection against its peak
-    over a window of whole periods, where the acceptance rate is 1/2."""
+    over a window of whole periods, where the acceptance rate is 1/2.  The
+    float32 squeeze decides every candidate whose uniform lies more than
+    _FRINGE_MARGIN from it; the float64 density decides the rest."""
     lo, hi = s.fringe_window(n_periods)
 
     def propose(m):
         z = gen.uniform(lo, hi, m)
-        return (np.compress(gen.random(m) <= fringe_density(s, z), z),)
+        u = gen.random(m)
+        gap = u - _fringe_squeeze(s, z)
+        keep = gap <= 0.0
+        np.abs(gap, out=gap)
+        near = np.flatnonzero(gap <= _FRINGE_MARGIN)
+        keep[near] = u[near] <= fringe_density(s, z[near])
+        return (np.compress(keep, z),)
 
     return _rejection_sample(n, 0.5, propose)[0]
 
@@ -248,10 +296,14 @@ class ExpConfig:
     def __post_init__(self):
         if self.lambda_sep <= 0:
             raise ValueError("lambda_sep must be positive")
+        # the largest fringe displacement: kappa * KICK_HALF_WIDTH per kick,
+        # and a trial's two uniform kicks can sum to twice that
+        reach = (2.0 if self.kick_law == "uniform" else 1.0) * KICK_HALF_WIDTH
         if self.kappa is not None and not (
-                self.kappa >= 0 and math.isfinite(self.kappa * KICK_HALF_WIDTH)):
+                self.kappa >= 0 and math.isfinite(self.kappa * reach)):
             raise ValueError("kappa must be non-negative, and kappa * "
-                             "KICK_HALF_WIDTH finite")
+                             "KICK_HALF_WIDTH finite, twice that for uniform "
+                             "kicks")
         if self.kick_law not in ("uniform", "normal"):
             raise ValueError(f"kick_law must be 'uniform' or 'normal', "
                              f"got {self.kick_law!r}")
@@ -312,8 +364,14 @@ def _trial_draws(s: TwoWaveState, cfg: ExpConfig, seed: int,
     n_ion = gen.integers(1, 3, n)
     dd = (gen.uniform(-1.0, 1.0, (2, n)) if cfg.kick_law == "uniform"
           else gen.standard_normal((2, n)))
-    kicks = ionization_kick(KICK_HALF_WIDTH * dd, kappa)
-    return z0, kicks.sum(axis=0, where=np.arange(2)[:, None] < n_ion)
+    dd *= KICK_HALF_WIDTH
+    kicks = ionization_kick(dd, kappa, out=dd)
+    # 0.0 + the first kick + the second where there is one (a -0.0 second
+    # term adds nothing); adding 0.0 last gives that sum's sign of zero
+    total = np.where(n_ion == 2, kicks[1], -0.0)
+    total += kicks[0]
+    total += 0.0
+    return z0, total
 
 
 def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
@@ -334,16 +392,31 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     z0, kick_total = _trial_draws(s, cfg, seed, n)
 
     dt = cfg.lambda_sep / v[0]
-    z2 = z0 + kick_total
-    dx = np.full(n, cfg.lambda_sep)
-    dz = z2 - z0
-    px = s.M * dx / dt
-    pz = s.M * dz / dt
-    gamma = np.arctan2(dz, dx)
-
+    # one buffer holds p_x = M dx / dt (every trial flies dx = lambda_sep),
+    # then the lambda table's angles, then dz and p_z = M dz / dt
+    buf = np.full(n, cfg.lambda_sep)
+    buf *= s.M
+    buf /= dt
+    mean_px = buf.mean()
     # shift-invariant spreads: identical samples give exactly zero sigma
-    sigma_px = float(np.std(px - px[0]))
-    sigma_z = float(np.std(z0 - z0[0]))
+    buf -= buf[0]
+    sigma_px = float(np.std(buf))
+
+    lam_table = []
+    for f in cfg.lambda_scaling_factors:
+        lam = f * cfg.lambda_sep
+        np.divide(kick_total, lam, out=buf)
+        np.arctan(buf, out=buf)
+        lam_table.append((lam, float(np.mean(np.abs(buf, out=buf)))))
+
+    z2 = np.add(z0, kick_total, out=kick_total)
+    dz = np.subtract(z2, z0, out=buf)
+    z0 -= z0[0]
+    sigma_z = float(np.std(z0))
+    gamma = np.arctan2(dz, cfg.lambda_sep, out=z0)  # z0 is spent
+    pz = dz
+    pz *= s.M
+    pz /= dt
 
     theta = s.theta0
     dir_edges = np.linspace(-2.0 * theta, 2.0 * theta, DIRECTION_BINS + 1)
@@ -352,11 +425,6 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     n_fringe_bins = FRINGE_BINS_PER_PERIOD * (Z_PERIODS + 1)
     fringe_edges = np.linspace(lo - pad, hi + pad, n_fringe_bins + 1)
 
-    lam_table = []
-    for f in cfg.lambda_scaling_factors:
-        lam = f * cfg.lambda_sep
-        lam_table.append((lam, float(np.mean(np.abs(np.arctan(kick_total / lam))))))
-
     fringe_hist = Histogram1D.from_samples(z2, fringe_edges)
     conserved = _fringe_phase_conserved(s, fringe_hist)
 
@@ -364,7 +432,7 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
         n_trials=n,
         guided_p=guided_momentum(s),
         reference_spectrum=s.branch_momenta(),
-        mean_estimated_p=np.array([px.mean(), 0.0, pz.mean()]),
+        mean_estimated_p=np.array([mean_px, 0.0, pz.mean()]),
         sigma_px=sigma_px,
         sigma_z=sigma_z,
         heisenberg_product=sigma_px * sigma_z,
@@ -455,8 +523,17 @@ class PlaneWaveSum:
         """Terms w_n exp(i (p_n - p_0) . r / hbar) of psi, shape (N, ...) for r
         of shape (..., 3).  The factor exp(i p_0 . r / hbar) they leave out
         cancels in |psi|^2 and in grad(arg psi)."""
-        w, p = self.weights, self.momenta
-        phases = np.tensordot((p[1:] - p[0]) / self.hbar, r, axes=(1, -1))
+        return self.terms_at(self.phases(r))
+
+    def phases(self, r) -> np.ndarray:
+        """Phases (p_n - p_0) . r / hbar of the terms n >= 1, shape (N - 1, ...)
+        for r of shape (..., 3)."""
+        p = self.momenta
+        return np.tensordot((p[1:] - p[0]) / self.hbar, r, axes=(1, -1))
+
+    def terms_at(self, phases) -> np.ndarray:
+        """The terms of ``terms`` from their ``phases``."""
+        w = self.weights
         out = np.empty(w.shape + phases.shape[1:], dtype=np.complex128)
         out[0] = w[0]
         np.exp(1j * phases, out=out[1:])
@@ -488,26 +565,67 @@ class PlaneWaveSum:
 
 def _guided_momentum(momenta: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """hbar grad(arg psi) = Re(sum_n t_n p_n / sum_n t_n) from the terms t_n
-    of ``PlaneWaveSum.terms`` at the same points; shape (..., 3)."""
-    share = (terms / terms.sum(axis=0)).real
-    return np.moveaxis(np.tensordot(momenta, share, axes=(0, 0)), 0, -1)
+    of ``PlaneWaveSum.terms`` at the same points, which it overwrites with
+    their shares t_n / sum_n t_n; shape (..., 3)."""
+    terms /= terms.sum(axis=0)
+    return np.moveaxis(np.tensordot(momenta, terms.real, axes=(0, 0)), 0, -1)
+
+
+def _box_squeeze(w: PlaneWaveSum, phases: np.ndarray) -> np.ndarray:
+    """float32 surrogate of |psi|^2 / w.density_bound() from the float64
+    ``w.phases`` (below _BOX_PHASE_LIMIT), each first reduced by a multiple
+    of 2 pi in float64: |sum_n a_n exp(i phi_n)|^2, a_n = w_n / sum |w_n|."""
+    a = w.weights / np.sum(np.abs(w.weights))
+    a_re, a_im = (x.astype(np.float32)[:, None] for x in (a.real, a.imag))
+    turns = np.rint(phases * (0.5 / math.pi))
+    turns *= 2.0 * math.pi
+    reduced = np.subtract(phases, turns, out=turns).astype(np.float32)
+    cos, sin = np.cos(reduced), np.sin(reduced)
+    re = a_re[0] + (a_re[1:] * cos - a_im[1:] * sin).sum(axis=0)
+    im = a_im[0] + (a_re[1:] * sin + a_im[1:] * cos).sum(axis=0)
+    re *= re
+    im *= im
+    re += im
+    return re
+
+
+def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
+    """Acceptance rate and ``propose`` of the rejection sampler for |psi|^2
+    in the box against its sharp bound: ``propose(m)`` draws m candidates
+    from ``gen`` and returns the accepted ones' positions, shape (3, k), and
+    their ``w.terms``, shape (N, k).  With distinct momenta on the box's
+    reciprocal lattice the rate is sum |w_n|^2 / (sum |w_n|)^2.  The float32
+    squeeze rejects every candidate whose uniform lies more than _BOX_MARGIN
+    per wave above it; the float64 terms decide the rest.  Each round's
+    phases come from one product over the whole round, since BLAS may round
+    a product over a subset differently."""
+    amps = np.abs(w.weights) / np.max(np.abs(w.weights))
+    bound = w.density_bound()
+    margin = _BOX_MARGIN * len(amps)
+
+    def propose(m):
+        r = gen.random((3, m)) * w.box
+        u = gen.random(m)
+        phases = w.phases(r.T)
+        if np.max(np.abs(phases), initial=0.0) < _BOX_PHASE_LIMIT:
+            squeeze = _box_squeeze(w, phases)
+            squeeze += margin
+            live = np.flatnonzero(u <= squeeze)
+            u, phases = u.take(live), phases.take(live, axis=1)
+        else:  # the float64 terms decide every candidate
+            live = np.arange(m)
+        terms = w.terms_at(phases)
+        psi = terms.sum(axis=0)
+        keep = np.flatnonzero(u * bound <= psi.real ** 2 + psi.imag ** 2)
+        return r.take(live.take(keep), axis=1), terms.take(keep, axis=1)
+
+    return np.sum(amps ** 2) / np.sum(amps) ** 2, propose
 
 
 def _sample_box(w: PlaneWaveSum, gen: np.random.Generator, n: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """n points of |psi|^2 in the box, shape (n, 3), and their ``w.terms``,
-    by rejection against its sharp bound; with distinct momenta on the box's
-    reciprocal lattice the acceptance rate is sum |w_n|^2 / (sum |w_n|)^2."""
-    amps = np.abs(w.weights) / np.max(np.abs(w.weights))
-
-    def propose(m):
-        r = gen.random((3, m)) * w.box
-        terms = w.terms(r.T)
-        psi = terms.sum(axis=0)
-        keep = gen.random(m) * w.density_bound() <= psi.real ** 2 + psi.imag ** 2
-        return np.compress(keep, r, axis=1), np.compress(keep, terms, axis=1)
-
-    r, terms = _rejection_sample(n, np.sum(amps ** 2) / np.sum(amps) ** 2, propose)
+    """n points of |psi|^2 in the box, shape (n, 3), and their ``w.terms``."""
+    r, terms = _rejection_sample(n, *_box_proposal(w, gen))
     return r.T, terms
 
 
@@ -532,6 +650,33 @@ def _pair_weights(w: PlaneWaveSum) -> np.ndarray:
     return (amps[i] * amps[j]) ** 2
 
 
+def _joint_histogram(samples: np.ndarray, edges: list[np.ndarray],
+                     weights: np.ndarray | None = None) -> np.ndarray:
+    """``np.histogramdd(samples, edges, weights=weights)[0]`` for samples of
+    shape (n, D) inside uniform edges: each axis's bin index is computed by
+    arithmetic, then fixed up against its edge array as ``np.histogram``
+    does, so every sample lands in the bin histogramdd gives it (the last
+    bin closed).  Counts come out as integers.  Non-finite edges give
+    meaningless counts, as in histogramdd, and outputs the CLI refuses."""
+    shape = tuple(len(e) - 1 for e in edges)
+    flat = np.zeros(len(samples), dtype=np.intp)
+    index, buf = np.empty_like(flat), np.empty(len(samples))
+    for x, e, bins in zip(samples.T, edges, shape):
+        if bins == 1:  # every sample lies inside: all in bin 0
+            continue
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.subtract(x, e[0], out=buf)
+            buf *= bins / (e[-1] - e[0])
+            np.copyto(index, buf, casting="unsafe")
+        np.clip(index, 0, bins - 1, out=index)  # the last edge: the last bin
+        index -= x < np.take(e, index, out=buf)
+        upper = np.append(e[1:-1], np.inf)  # the last bin is closed
+        index += x >= np.take(upper, index, out=buf)
+        flat *= bins
+        flat += index
+    return np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
+
+
 @dataclass
 class BornCheckRecord:
     n_samples: int
@@ -552,16 +697,18 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    gen = trial_generator(seed, _POSITIONS)
-    guided = _guided_momentum(w.momenta, _sample_box(w, gen, n_samples)[1])
+    # the draws of _sample_box, keeping only the terms
+    rate, propose = _box_proposal(w, trial_generator(seed, _POSITIONS))
+    guided = _guided_momentum(w.momenta, _rejection_sample(
+        n_samples, rate, lambda m: propose(m)[1:])[0])
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)
-    scale = max(float(np.max(np.abs(guided))), float(np.max(np.abs(cand_vecs))),
-                1e-12)
+    lows = np.minimum(guided.min(axis=0), cand_vecs.min(axis=0))
+    highs = np.maximum(guided.max(axis=0), cand_vecs.max(axis=0))
+    scale = max(float(np.max(-lows)), float(np.max(highs)), 1e-12)
     edges = []
     for axis in range(3):
-        allv = np.concatenate([guided[:, axis], cand_vecs[:, axis]])
-        lo, hi = float(allv.min()), float(allv.max())
+        lo, hi = float(lows[axis]), float(highs[axis])
         if hi - lo <= 1e-9 * scale:
             # spread is numerical noise: the axis is a delta, use one bin
             pad = max(1e-9 * scale, 1e-12)
@@ -571,12 +718,12 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
             edges.append(np.linspace(lo - span, hi + span, bins + 1))
 
     # the edges cover every sample: the marginals are the 1-D histograms
-    counts, _ = np.histogramdd(guided, bins=edges)
+    counts = _joint_histogram(guided, edges)
     marginals = [Histogram1D(edges[axis], counts.sum(axis=tuple(
         a for a in range(3) if a != axis)) / n_samples) for axis in range(3)]
     g_hist = counts / n_samples
-    c_hist, _ = np.histogramdd(cand_vecs, bins=edges, weights=cand_wts)
-    tv = 0.5 * float(np.abs(g_hist - c_hist).sum())
+    diff = np.subtract(g_hist, _joint_histogram(cand_vecs, edges, cand_wts))
+    tv = 0.5 * float(np.abs(diff, out=diff).sum())
     return BornCheckRecord(
         n_samples=n_samples,
         mean_guided_p=guided.mean(axis=0),

@@ -189,6 +189,7 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("exp", "trace_experiment", ("dbb", "two_wave", "theta0"), 5e-324),
     ("exp", "trace_experiment", ("dbb", "exp", "lambda_sep"), 5e-324),
     ("exp", "trace_experiment", ("dbb", "exp", "kappa"), 1.7976931348623157e308),
+    ("exp", "trace_experiment", ("dbb", "exp", "kappa"), 1e308),
     ("exp", "trace_experiment", ("dbb", "two_wave", "delta_phase"), 1e100),
     ("tree", "tree_two_level", ("seed",), "x"),
     ("stability", "stability_drift", ("seed",), True),
@@ -218,7 +219,8 @@ SEGMENT = ("stability", "sampling", "segments", 0)
         "n_type", "segment_type", "n_samples_type", "sampling_type",
         "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
         "v12_underflow", "m0_underflow", "flight_time_overflow",
-        "lambda_sep_subnormal", "kappa_overflow", "delta_phase_large",
+        "lambda_sep_subnormal", "kappa_overflow", "kappa_two_kick_overflow",
+        "delta_phase_large",
         "seed_type", "seed_bool", "unused_section",
         "misspelt_field", "misspelt_section", "restarts_zero", "tol_zero",
         "tol_negative", "sampled_n_zero", "source_measured", "observables_empty",
@@ -699,11 +701,13 @@ def test_plane_waves_out_of_range_exit_code_2(tmp_path, capsys, change):
         {"weight": [0.8, 0.0], "momentum": [0.9e308, 0.0, 0.0]},
         {"weight": [0.6, 0.0], "momentum": [0.95e308, 0.0, 0.0]}]}),
     ("exp", "exp", {"lambda_sep": 1.7976931348623157e308}),
-], ids=["pair_sum_overflows", "lambda_sep_largest"])
+    ("exp", "exp", {"kappa": 1e308, "kick_law": "normal"}),
+], ids=["pair_sum_overflows", "lambda_sep_largest", "kappa_normal_kicks"])
 def test_non_finite_output_exit_code_1(tmp_path, command, section, change):
-    # a p_0 + p_1 that overflows to inf, and flight distances (lambda_sep
-    # times the scaling factors) that overflow to inf: JSON cannot hold
-    # either, so nothing is written.
+    # a p_0 + p_1 that overflows to inf, flight distances (lambda_sep
+    # times the scaling factors) that overflow to inf, and normal kicks, which
+    # have no bound, that overflow to inf: JSON cannot hold any of them, so
+    # nothing is written.
     # Run as a user runs it, where numpy's overflow warnings stay warnings.
     doc = copy.deepcopy(DBB_DOC)
     doc["dbb"][section].update(change)

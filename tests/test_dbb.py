@@ -433,9 +433,10 @@ def test_two_wave_state_invariants():
                                           delta_phase=1e100, m0=9.1e-31)
 
 
-@pytest.mark.parametrize("kappa", [-1.0, math.nan, 1.7976931348623157e308])
+@pytest.mark.parametrize("kappa", [-1.0, math.nan, 1.7976931348623157e308, 1e308])
 def test_exp_config_refuses_kappa(kappa):
-    # kicks are KICK_HALF_WIDTH * kappa times a draw: that scale must be finite
+    # kicks are KICK_HALF_WIDTH * kappa times a draw: that scale must be
+    # finite, and twice it for a trial's two uniform kicks
     with pytest.raises(ValueError, match="kappa"):
         ExpConfig(lambda_sep=1e-6, kappa=kappa)
 
@@ -538,3 +539,154 @@ def test_run_trace_is_the_one_trial_run(wave, law):
     for seed in range(8):
         (r1, _), _ = run_trace(wave, cfg, seed).ionizations
         assert r1[2] == wave.sample_position(trial_generator(seed, 0))[2]
+
+
+# --- the squeezed samplers against the direct proposals ---------------------------
+
+def direct_fringe(s, gen, n, n_periods):
+    """Every candidate decided on the float64 fringe density."""
+    lo, hi = s.fringe_window(n_periods)
+
+    def propose(m):
+        z = gen.uniform(lo, hi, m)
+        return (np.compress(gen.random(m) <= dbb.fringe_density(s, z), z),)
+
+    return dbb._rejection_sample(n, 0.5, propose)[0]
+
+
+def direct_box(w, gen, n):
+    """Every candidate decided on |psi|^2 from the full float64 terms."""
+    amps = np.abs(w.weights) / np.max(np.abs(w.weights))
+
+    def propose(m):
+        r = gen.random((3, m)) * w.box
+        terms = w.terms(r.T)
+        psi = terms.sum(axis=0)
+        keep = gen.random(m) * w.density_bound() <= psi.real ** 2 + psi.imag ** 2
+        return np.compress(keep, r, axis=1), np.compress(keep, terms, axis=1)
+
+    r, terms = dbb._rejection_sample(
+        n, np.sum(amps ** 2) / np.sum(amps) ** 2, propose)
+    return r.T, terms
+
+
+SEEDS = range(50)
+
+
+@pytest.mark.parametrize("delta", [0.0, 2 * math.pi, -2 * math.pi,
+                                   *np.random.default_rng(5).uniform(
+                                       -2 * math.pi, 2 * math.pi, 3)])
+def test_fringe_sampler_equals_direct_proposals(delta):
+    s = TwoWaveState.from_corpuscle_speed(v12=1e6, theta0=0.1,
+                                          delta_phase=float(delta), m0=9.109e-31)
+    for seed in SEEDS:  # 40 000 draws: two rounds of candidates
+        got = dbb._sample_fringe(s, trial_generator(seed, 0), 40_000, dbb.Z_PERIODS)
+        want = direct_fringe(s, trial_generator(seed, 0), 40_000, dbb.Z_PERIODS)
+        assert np.array_equal(got, want)
+
+
+BOX_CASES = {
+    # the plane waves of scenarios/trace_experiment.json
+    "shipped": ((0.8, (2.0, 0.0, 3.0)), (0.6, (2.0, 0.0, -3.0))),
+    # the benchmark's kind of pair: equal p_x and p_y, complex weights
+    "equal_px_py": ((0.9 - 0.4j, (3.0, 2.0, -4.0)), (0.5 + 0.3j, (3.0, 2.0, 1.0))),
+    "off_lattice_three": ((0.7 + 0.1j, (1.0, 0.5, -0.3)),
+                          (0.4 - 0.2j, (-0.6, 1.1, 0.8)),
+                          (0.3 + 0j, (0.2, -0.9, 1.5))),
+}
+
+
+@pytest.mark.parametrize("case,box", [
+    *((name, 2 * math.pi) for name in BOX_CASES),
+    ("shipped", 3e5),  # phases past _BOX_PHASE_LIMIT: the float64 path only
+], ids=[*BOX_CASES, "exact_fallback"])
+def test_box_sampler_equals_direct_proposals(case, box):
+    w = PlaneWaveSum(components=BOX_CASES[case], box=box)
+    for seed in SEEDS:
+        r, terms = dbb._sample_box(w, trial_generator(seed, 0), 20_000)
+        r0, terms0 = direct_box(w, trial_generator(seed, 0), 20_000)
+        assert np.array_equal(r, r0) and np.array_equal(terms, terms0)
+    # the Born check draws the same points and keeps their terms
+    rec = extended_born_check(w, 20_000, 49)
+    guided = dbb._guided_momentum(w.momenta, terms0)
+    assert np.array_equal(rec.mean_guided_p, guided.mean(axis=0))
+
+
+def test_fringe_squeeze_within_a_quarter_margin():
+    # 10^6 arguments chi z + delta/2 cover [-5 pi, 5 pi]: 8 periods of pi/chi
+    # around delta/2 = -pi, 0 and pi
+    gen = np.random.default_rng(11)
+    worst = 0.0
+    for delta in (-2 * math.pi, 0.0, 2 * math.pi):
+        s = TwoWaveState.from_corpuscle_speed(v12=1e6, theta0=0.1,
+                                              delta_phase=delta, m0=9.109e-31)
+        lo, hi = s.fringe_window(dbb.Z_PERIODS)
+        z = np.concatenate([gen.uniform(lo, hi, 340_000), [lo, hi]])
+        gap = dbb._fringe_squeeze(s, z) - dbb.fringe_density(s, z)
+        worst = max(worst, float(np.max(np.abs(gap))))
+    assert worst <= dbb._FRINGE_MARGIN / 4
+
+
+@pytest.mark.parametrize("n_waves,points", [(2, 1_000_000), (3, 300_000),
+                                            (8, 100_000)])
+def test_box_squeeze_within_a_quarter_margin(n_waves, points):
+    # phases up to the limit, where the float32 path stops
+    gen = np.random.default_rng(n_waves)
+    weights = gen.normal(size=n_waves) + 1j * gen.normal(size=n_waves)
+    w = PlaneWaveSum(components=tuple(
+        (complex(wn), (float(k), 0.0, 0.0)) for k, wn in enumerate(weights)),
+        box=2 * math.pi)
+    limit = dbb._BOX_PHASE_LIMIT
+    phases = gen.uniform(-limit, limit, (n_waves - 1, points))
+    phases[:, :4] = [limit * (1 - 2 ** -52), -limit * (1 - 2 ** -52), math.pi, 0.0]
+    psi = w.terms_at(phases).sum(axis=0)
+    density = (psi.real ** 2 + psi.imag ** 2) / w.density_bound()
+    gap = dbb._box_squeeze(w, phases) - density
+    assert np.max(np.abs(gap)) <= dbb._BOX_MARGIN * n_waves / 4
+
+
+def test_joint_histogram_equals_histogramdd():
+    # edges as extended_born_check builds them, from spans that are not
+    # binary fractions, so bin arithmetic and edge array disagree by an ulp
+    gen = np.random.default_rng(3)
+    edges = [np.linspace(-4.7 - 0.31, 3.3 + 0.31, 65),
+             np.array([0.25 - 1e-9, 0.25 + 1e-9]),  # a delta axis: one bin
+             np.linspace(-1.9 - 0.173, 1.57 + 0.173, 17)]
+    samples = np.column_stack([gen.uniform(e[0], e[-1], 100_000) for e in edges])
+    # every edge, the last included, and its neighbours one ulp either side
+    for axis in (0, 2):
+        e = edges[axis]
+        near = np.concatenate([e, np.nextafter(e[1:], -np.inf),
+                               np.nextafter(e[:-1], np.inf)])
+        samples[:len(near), axis] = near
+    want, _ = np.histogramdd(samples, bins=edges)
+    assert np.array_equal(dbb._joint_histogram(samples, edges), want)
+    weights = gen.random(len(samples))
+    want, _ = np.histogramdd(samples, bins=edges, weights=weights)
+    assert np.array_equal(dbb._joint_histogram(samples, edges, weights), want)
+
+
+@pytest.mark.parametrize("law", ["uniform", "normal"])
+@pytest.mark.parametrize("kappa", [None, 0.0, 3e-9])
+def test_kick_totals_equal_the_masked_sum(wave, law, kappa):
+    # 0.0 + the first kick, plus the second on trials with two, sign of
+    # zero included (kappa = 0 makes every kick a signed zero)
+    cfg = ExpConfig(lambda_sep=1e-6, kappa=kappa, kick_law=law, n_trials=1)
+    k = default_kappa(wave) if kappa is None else kappa
+    for seed in range(5):
+        _, total = dbb._trial_draws(wave, cfg, seed, 20_000)
+        gen = trial_generator(seed, 1)
+        n_ion = gen.integers(1, 3, 20_000)
+        dd = (gen.uniform(-1.0, 1.0, (2, 20_000)) if law == "uniform"
+              else gen.standard_normal((2, 20_000)))
+        kicks = -k * (dbb.KICK_HALF_WIDTH * dd)
+        want = kicks.sum(axis=0, where=np.arange(2)[:, None] < n_ion)
+        assert np.array_equal(total, want)
+        assert np.array_equal(np.signbit(total), np.signbit(want))
+
+
+def test_exp_config_kappa_bound_follows_the_kick_law():
+    # two uniform kicks sum to at most 2 kappa KICK_HALF_WIDTH; a normal kick
+    # has no bound, and the CLI refuses a non-finite output instead
+    ExpConfig(lambda_sep=1e-6, kappa=0.5e308)
+    ExpConfig(lambda_sep=1e-6, kappa=1e308, kick_law="normal")
