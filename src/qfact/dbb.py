@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NodeSingularityError
+from .errors import NodeSingularityError, check_array_size
 from .seeding import trial_generator
 
 _POSITIONS, _KICKS = 0, 1  # a run's streams: positions; ionization counts and kicks
@@ -233,6 +233,8 @@ def _rejection_sample(n: int, rate: float, propose) -> tuple[np.ndarray, ...]:
         part = propose(min(_MAX_BATCH, math.ceil(
             (missing + 3.0 * math.sqrt(missing)) / rate)))
         if out is None:
+            for a in part:
+                check_array_size((*a.shape[:-1], n), a.dtype)
             out = tuple(np.empty((*a.shape[:-1], n), a.dtype) for a in part)
         take = min(part[0].shape[-1], missing)
         for dest, a in zip(out, part):
@@ -589,16 +591,16 @@ def _box_squeeze(w: PlaneWaveSum, phases: np.ndarray) -> np.ndarray:
     return re
 
 
-def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
+def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator, positions: bool):
     """Acceptance rate and ``propose`` of the rejection sampler for |psi|^2
     in the box against its sharp bound: ``propose(m)`` draws m candidates
-    from ``gen`` and returns the accepted ones' positions, shape (3, k), and
-    their ``w.terms``, shape (N, k).  With distinct momenta on the box's
-    reciprocal lattice the rate is sum |w_n|^2 / (sum |w_n|)^2.  The float32
-    squeeze rejects every candidate whose uniform lies more than _BOX_MARGIN
-    per wave above it; the float64 terms decide the rest.  Each round's
-    phases come from one product over the whole round, since BLAS may round
-    a product over a subset differently."""
+    from ``gen`` and returns the accepted ones' positions, shape (3, k), if
+    ``positions``, and their ``w.terms``, shape (N, k).  With distinct
+    momenta on the box's reciprocal lattice the rate is sum |w_n|^2 /
+    (sum |w_n|)^2.  The float32 squeeze rejects every candidate whose uniform
+    lies more than _BOX_MARGIN per wave above it; the float64 terms decide
+    the rest.  Each round's phases come from one product over the whole
+    round, since BLAS may round a product over a subset differently."""
     amps = np.abs(w.weights) / np.max(np.abs(w.weights))
     bound = w.density_bound()
     margin = _BOX_MARGIN * len(amps)
@@ -617,7 +619,8 @@ def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
         terms = w.terms_at(phases)
         psi = terms.sum(axis=0)
         keep = np.flatnonzero(u * bound <= psi.real ** 2 + psi.imag ** 2)
-        return r.take(live.take(keep), axis=1), terms.take(keep, axis=1)
+        terms = terms.take(keep, axis=1)
+        return (r.take(live.take(keep), axis=1), terms) if positions else (terms,)
 
     return np.sum(amps ** 2) / np.sum(amps) ** 2, propose
 
@@ -625,7 +628,7 @@ def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
 def _sample_box(w: PlaneWaveSum, gen: np.random.Generator, n: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """n points of |psi|^2 in the box, shape (n, 3), and their ``w.terms``."""
-    r, terms = _rejection_sample(n, *_box_proposal(w, gen))
+    r, terms = _rejection_sample(n, *_box_proposal(w, gen, True))
     return r.T, terms
 
 
@@ -659,6 +662,7 @@ def _joint_histogram(samples: np.ndarray, edges: list[np.ndarray],
     bin closed).  Counts come out as integers.  Non-finite edges give
     meaningless counts, as in histogramdd, and outputs the CLI refuses."""
     shape = tuple(len(e) - 1 for e in edges)
+    check_array_size(shape)  # the counts that bincount returns
     flat = np.zeros(len(samples), dtype=np.intp)
     index, buf = np.empty_like(flat), np.empty(len(samples))
     for x, e, bins in zip(samples.T, edges, shape):
@@ -698,9 +702,8 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
     if n_samples < 1:
         raise ValueError("need at least one sample")
     # the draws of _sample_box, keeping only the terms
-    rate, propose = _box_proposal(w, trial_generator(seed, _POSITIONS))
     guided = _guided_momentum(w.momenta, _rejection_sample(
-        n_samples, rate, lambda m: propose(m)[1:])[0])
+        n_samples, *_box_proposal(w, trial_generator(seed, _POSITIONS), False))[0])
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)
     lows = np.minimum(guided.min(axis=0), cand_vecs.min(axis=0))
@@ -715,6 +718,7 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
             edges.append(np.array([lo - pad, hi + pad]))
         else:
             span = (hi - lo) * 0.05
+            check_array_size((bins + 1,))
             edges.append(np.linspace(lo - span, hi + span, bins + 1))
 
     # the edges cover every sample: the marginals are the 1-D histograms

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that reports
+a count no array can hold as a shortage of memory."""
+
+import math
+import sys
+
+import numpy as np
 
 
 class QfactError(Exception):
@@ -48,3 +54,13 @@ class NodeSingularityError(QfactError):
 
 class ScenarioError(QfactError):
     """Scenario file failed schema validation."""
+
+
+def check_array_size(shape, dtype=float) -> None:
+    """Raise MemoryError, as numpy does for an array too large for this
+    machine, for an array of ``shape`` too large for any machine: numpy
+    refuses that one with a ValueError, which reads as bad input."""
+    if math.prod(shape) * np.dtype(dtype).itemsize > sys.maxsize:
+        raise MemoryError(f"Unable to allocate an array with shape {tuple(shape)} "
+                          f"and data type {np.dtype(dtype)}: more bytes than "
+                          "any array can hold")

@@ -31,6 +31,7 @@ from .errors import (
     EmptyLawError,
     InconsistentLawsError,
     UnlinkedObservableError,
+    check_array_size,
 )
 from .hilbert import TransformMatrix, dirac_transform
 from .seeding import RESTART_STREAM, trial_generator
@@ -60,11 +61,12 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.stop_tol is None:
             object.__setattr__(self, "stop_tol", self.tol * 1e-10)
-        if not (isinstance(self.restarts, (int, np.integer)) and self.restarts >= 1
+        settings = (self.restarts, self.tol, self.stop_tol)
+        if any(isinstance(x, (bool, np.bool_)) for x in settings) or not (
+                isinstance(self.restarts, (int, np.integer)) and self.restarts >= 1
                 and 0 < self.tol < np.inf and 0 <= self.stop_tol < np.inf):
             raise ValueError("need an integer restarts >= 1, a finite tol > 0 and a "
-                             f"finite stop_tol >= 0, got {self.restarts!r}, "
-                             f"{self.tol!r}, {self.stop_tol!r}")
+                             f"finite stop_tol >= 0, none a bool, got {settings!r}")
 
     @classmethod
     def for_sampled_laws(cls, n_trials: int, n_terms: int,
@@ -154,49 +156,53 @@ def _residual_terms(alpha: np.ndarray, amp: np.ndarray, tau: np.ndarray,
                     law: np.ndarray, anchor: int = 0):
     """Residual terms r_k = |d_k|^2 - pi_B(k) of the stacked partners, shape
     (m, K), and their Jacobian dr_k/dalpha_j = -2 Im(conj(d_k) tau_kj c_j),
-    shape (m, K, d), with the anchor column zero (gauge freedom)."""
-    c = amp * np.exp(1j * alpha)
-    d = c @ tau.T
+    shape (m, K, d), with the anchor column zero (gauge freedom).  Each row
+    sums its own products tau_kj c_j, since a BLAS product over all rows may
+    round a row differently with the number of rows."""
+    tc = tau * (amp * np.exp(1j * alpha))[:, None, :]
+    d = tc.sum(axis=2)
     r = np.abs(d) ** 2 - law
-    jac = -2.0 * np.imag(d.conj()[:, :, None] * tau * c[:, None, :])
+    jac = -2.0 * np.imag(d.conj()[:, :, None] * tc)
     jac[:, :, anchor] = 0.0
     return r, jac
 
 
 def _descend(alpha: np.ndarray, amp: np.ndarray, tau: np.ndarray,
              law: np.ndarray, stop_tol: float, anchor: int = 0):
-    """Levenberg-Marquardt on the partners' stacked transforms and laws,
-    batched over restarts: each step solves (J^T J + lambda I) s = J^T r for
-    every active restart and keeps alpha - s only where it lowers R; lambda
-    shrinks on a kept step, grows on a rejected one.  A restart stops at
-    R <= stop_tol, at lambda > DAMPING_CAP, when a kept step lowers R by a
+    """Levenberg-Marquardt on the partners' stacked transforms and laws for
+    the working set, the restarts still descending: each step solves
+    (J^T J + lambda I) s = J^T r and keeps alpha - s where it lowers R;
+    lambda shrinks on a kept step, grows on a rejected one.  A restart stops
+    at R <= stop_tol, at lambda > DAMPING_CAP, when a kept step lowers R by a
     relative FLOOR_FTOL or less (a floor above zero), or after MAX_ITER
-    steps.  A step evaluates its candidates once, residual and Jacobian
-    together, and a kept candidate brings both along."""
+    steps, and leaves the set with its phases and R written to ``alpha`` and
+    the returned values: no restart's answer depends on the others."""
     r, jac = _residual_terms(alpha, amp, tau, law, anchor)
-    value = np.sum(r ** 2, axis=1)
-    damping = np.full(alpha.shape[0], DAMPING_START)
-    active = value > stop_tol
-    eye = np.eye(alpha.shape[1])
+    out = np.sum(r ** 2, axis=1)
+    idx = np.flatnonzero(out > stop_tol)  # the working set's rows of alpha
+    a, value, r, jac = alpha[idx], out[idx], r[idx], jac[idx]
+    damping = np.full(idx.size, DAMPING_START)
     for _ in range(MAX_ITER):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        jt = np.swapaxes(jac[idx], 1, 2)
-        normal = jt @ jac[idx] + damping[idx, None, None] * eye
-        cand = alpha[idx] - np.linalg.solve(normal, jt @ r[idx, :, None])[..., 0]
+        jt = np.swapaxes(jac, 1, 2)
+        normal = jt @ jac + damping[:, None, None] * np.eye(alpha.shape[1])
+        cand = a - np.linalg.solve(normal, jt @ r[..., None])[..., 0]
         cand_r, cand_jac = _residual_terms(cand, amp, tau, law, anchor)
         cand_value = np.sum(cand_r ** 2, axis=1)
-        ok = cand_value < value[idx]
-        kept = idx[ok]
-        floor = value[kept] - cand_value[ok] <= FLOOR_FTOL * value[kept]
-        alpha[kept], value[kept] = cand[ok], cand_value[ok]
-        r[kept], jac[kept] = cand_r[ok], cand_jac[ok]
-        damping[idx] = np.maximum(
-            damping[idx] * np.where(ok, DAMPING_SHRINK, DAMPING_GROW), DAMPING_FLOOR)
-        active[idx] = (value[idx] > stop_tol) & (damping[idx] <= DAMPING_CAP)
-        active[kept[floor]] = False
-    return alpha, value
+        ok = cand_value < value
+        floor = ok & (value - cand_value <= FLOOR_FTOL * value)
+        for x, y in ((a, cand), (value, cand_value), (r, cand_r), (jac, cand_jac)):
+            np.copyto(x.T, y.T, where=ok)  # ok picks rows, the last axis of x.T
+        damping = np.maximum(
+            damping * np.where(ok, DAMPING_SHRINK, DAMPING_GROW), DAMPING_FLOOR)
+        stop = (value <= stop_tol) | (damping > DAMPING_CAP) | floor
+        if stop.any():
+            alpha[idx[stop]], out[idx[stop]] = a[stop], value[stop]
+            idx, a, value, r, jac, damping = (
+                x[~stop] for x in (idx, a, value, r, jac, damping))
+    alpha[idx], out[idx] = a, value
+    return alpha, out
 
 
 def _basins(cands: np.ndarray, first: np.ndarray, amp: np.ndarray) -> list:
@@ -255,6 +261,7 @@ def retrieve_phases(law_a,
     # anchor the optimization gauge on the largest amplitude: fixing a
     # near-zero component would leave a nearly flat global-rotation direction
     anchor = int(np.argmax(amp))
+    check_array_size((cfg.restarts, d))
     alpha0 = np.zeros((cfg.restarts, d))
     alpha0[1:] = trial_generator(cfg.seed, RESTART_STREAM).uniform(
         -np.pi, np.pi, size=(cfg.restarts - 1, d))
@@ -277,15 +284,12 @@ def retrieve_phases(law_a,
     # mean the conjugate/reflected pair, more mean the data underdetermine
     # the phases (expected with a single partner basis)
     tie = max(cfg.tol, best_val * 4.0 + 1e-15)
-    clusters = _basins(alphas[1:np.count_nonzero(values <= tie)], alphas[0], amp)
-    flag = ("unique", "conjugate-pair")[min(len(clusters) - 1, 1)] \
-        if len(clusters) <= 2 else "underdetermined"
+    basins = _basins(alphas[1:np.count_nonzero(values <= tie)], alphas[0], amp)
+    flag = ("unique", "conjugate-pair", "underdetermined")[min(len(basins), 3) - 1]
 
     report = RetrievalReport(residual=best_val, restarts_used=cfg.restarts,
-                             converged=best_val <= cfg.tol,
-                             ambiguity_flag=flag,
-                             alternate_phases=clusters[1] if len(clusters) > 1
-                             else None)
+                             converged=best_val <= cfg.tol, ambiguity_flag=flag,
+                             alternate_phases=basins[1] if len(basins) > 1 else None)
     return alphas[0], report
 
 
@@ -306,11 +310,8 @@ def assemble_equivalent(law_map: dict,
         if name not in taus:
             raise UnlinkedObservableError(f"no transform to {name!r}")
         derived = dirac_transform(c_ref, taus[name])
-        amp = np.abs(derived)
-        ph = np.angle(derived)
-        ph[amp <= ZERO_AMP] = 0.0
-        amplitudes[name] = amp
-        phases[name] = ph
+        amplitudes[name] = amp = np.abs(derived)
+        phases[name] = np.where(amp <= ZERO_AMP, 0.0, np.angle(derived))
     return ExpansionSet(reference_observable=reference,
                         amplitudes=amplitudes, phases=phases)
 
@@ -325,8 +326,7 @@ def predict_heldout(expansion: ExpansionSet, tau_to_c: TransformMatrix
             f"{expansion.reference_observable!r}")
     if tau_to_c.target == expansion.reference_observable:
         return expansion.amplitudes[expansion.reference_observable] ** 2
-    d = dirac_transform(expansion.coefficients(), tau_to_c)
-    return np.abs(d) ** 2
+    return np.abs(dirac_transform(expansion.coefficients(), tau_to_c)) ** 2
 
 
 class StateReconstructor:

@@ -512,18 +512,41 @@ def test_seed_override_out_of_range_exit_code_2(tmp_path, capsys, seed):
     assert capsys.readouterr().err.startswith("scenario error: seed:")
 
 
-@pytest.mark.parametrize("command,name,path", [
-    ("stability", "stability_drift", SEGMENT + ("blocks",)),
-    ("tree", "tree_two_level", ("measurement", "n")),
-    ("exp", "trace_experiment", ("dbb", "exp", "n_trials")),
-    ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_samples")),
-], ids=["sampling_blocks", "measurement_n", "exp_n_trials", "borncheck_n_samples"])
+def three_wave_doc():
+    """trace_experiment with 1000 samples of a three-wave sum whose guided
+    momentum spreads over all three axes."""
+    doc = json.loads((SCENARIOS / "trace_experiment.json").read_text())
+    doc["dbb"]["plane_waves"]["components"] = [
+        {"weight": [1.0, 0.0], "momentum": p}
+        for p in ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 3.0, 5.0])]
+    doc["dbb"]["borncheck"]["n_samples"] = 1000
+    return doc
+
+
+@pytest.mark.parametrize("command,name,path,count", [
+    ("stability", "stability_drift", SEGMENT + ("blocks",), 10 ** 15),
+    ("tree", "tree_two_level", ("measurement", "n"), 10 ** 15),
+    ("exp", "trace_experiment", ("dbb", "exp", "n_trials"), 10 ** 15),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_samples"), 10 ** 15),
+    ("exp", "trace_experiment", ("dbb", "exp", "n_trials"), 2 ** 62),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "n_samples"), 2 ** 62),
+    ("borncheck", "trace_experiment", ("dbb", "borncheck", "bins"), 2 ** 62),
+    ("reconstruct", "reconstruct_two_level", ("reconstruction", "restarts"),
+     2 ** 62),
+    # 2**22 bins on each of three axes: 2**66 joint bins
+    ("borncheck", "three_wave", ("dbb", "borncheck", "bins"), 2 ** 22),
+], ids=["sampling_blocks", "measurement_n", "exp_n_trials", "borncheck_n_samples",
+        "exp_n_trials_past_array_limit", "borncheck_n_samples_past_array_limit",
+        "borncheck_bins_past_array_limit", "reconstruct_restarts_past_array_limit",
+        "borncheck_bins_on_three_axes"])
 def test_count_too_large_for_memory_exit_code_1(tmp_path, capsys, command, name,
-                                                path):
+                                                path, count):
     # 10**15 blocks, successions, trials or samples: the allocation is
-    # refused at once
-    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
-    _set_path(doc, path, 10 ** 15)
+    # refused at once; so is an array past numpy's limit on any array
+    # (2**63 bytes), which numpy refuses with a ValueError
+    doc = three_wave_doc() if name == "three_wave" else \
+        json.loads((SCENARIOS / f"{name}.json").read_text())
+    _set_path(doc, path, count)
     code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
                      "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -844,7 +867,7 @@ def test_normal_kick_law_bytes_pinned(tmp_path):
 
 # every leaf and list of a shipped scenario set to each of these values in turn
 MUTANTS = ("x", -1, None, [], {}, 0, 1e300, 1e-300, True, 5e-324,
-           1.7976931348623157e308)
+           1.7976931348623157e308, 2 ** 62)
 # heavy counts of the shipped scenarios, cut before any mutation
 SHRUNK = {("measurement", "n"): 20_000, ("dbb", "exp", "n_trials"): 500,
           ("dbb", "borncheck", "n_samples"): 500,

@@ -73,6 +73,7 @@ def test_law_vector_rejects_non_finite_entries(vec):
     {"restarts": 0}, {"restarts": -1}, {"restarts": 2.0},
     {"tol": 0.0}, {"tol": -1e-3}, {"tol": np.nan}, {"tol": np.inf},
     {"stop_tol": -1e-30}, {"stop_tol": np.nan}, {"stop_tol": np.inf},
+    {"restarts": True}, {"tol": True}, {"stop_tol": True},
 ])
 def test_retrieval_config_rejects_bad_settings(settings):
     with pytest.raises(ValueError):
@@ -224,6 +225,26 @@ def test_descent_stops_restarts_on_a_residual_floor(monkeypatch):
         long, _ = _descend(start.copy(), amp, tau, law, 0.0, anchor)
         assert value.min() > 1e-3
         assert np.array_equal(short, long)
+
+
+# generated cases (oracle_setup(dim, 100 * dim + case), restart seed ``case``)
+# where restart 0's answer moved with the other starts while one BLAS product
+# over all restarts, which may round a row with their number, gave the terms
+@pytest.mark.parametrize("dim,case", [(3, 32), (5, 63), (6, 22), (8, 15)])
+def test_restart_answer_does_not_depend_on_the_other_starts(dim, case):
+    _, _, partners, _, laws, taus = oracle_setup(dim, 100 * dim + case)
+    amp = np.sqrt(laws["A"])
+    tau = np.concatenate([taus[o.name].entries for o in partners])
+    law = np.concatenate([laws[o.name] for o in partners])
+    anchor = int(np.argmax(amp))
+    runs = []
+    for seed in (case, 10_000 + case):  # the second run replaces starts 1-31
+        start = np.zeros((32, dim))
+        start[1:] = trial_generator(seed, 0).uniform(-np.pi, np.pi, size=(31, dim))
+        start[:, anchor] = 0.0
+        runs.append(_descend(start, amp, tau, law, 1e-20, anchor))
+    (alpha, value), (alpha2, value2) = runs
+    assert np.array_equal(alpha[0], alpha2[0]) and value[0] == value2[0]
 
 
 def _fit_outcome(laws, taus, tau_d, seed, tol):
