@@ -1,7 +1,7 @@
 """Pilot-wave guidance engine for closed-form interference states.
 
 Covers the stable two-plane-wave state (cosine fringe amplitude, constant
-guided velocity along Ox, constant quantum potential, zero quantum force),
+guided velocity along Ox, zero quantum force from a constant potential),
 the ionization-kick trace model with its 1/lambda direction scaling, the
 two-layer desk experiment built on those pieces, and a Monte-Carlo check
 of the extended Born conjecture on plane-wave sums.
@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import NodeSingularityError, check_array_size
+from .errors import check_array_size
 from .seeding import trial_generator
 
 _POSITIONS, _KICKS = 0, 1  # a run's streams: positions; ionization counts and kicks
@@ -142,24 +142,10 @@ class TwoWaveState:
         half = 0.5 * n_periods * self.fringe_period
         return (-half, half)
 
-    # genesis attachment protocol ------------------------------------------
-
-    def sample_position(self, gen: np.random.Generator) -> np.ndarray:
-        """One point of the fringe density, drawn from ``gen``."""
-        return np.array([0.0, 0.0, _sample_fringe(self, gen, 1, Z_PERIODS)[0]])
-
-    def momentum_at(self, r, t) -> np.ndarray:
-        return guided_momentum(self)
-
 
 def _fringe_arg(s: TwoWaveState, z) -> np.ndarray:
     """The argument chi z + delta/2 of the fringe cosine."""
     return s.chi * np.asarray(z, dtype=float) + s.delta_phase / 2.0
-
-
-def amplitude(s: TwoWaveState, z) -> np.ndarray:
-    """Wave amplitude sqrt(2) cos(chi z + delta/2); stationary in time."""
-    return np.sqrt(2.0) * np.cos(_fringe_arg(s, z))
 
 
 def fringe_density(s: TwoWaveState, z) -> np.ndarray:
@@ -174,15 +160,6 @@ def guided_velocity(s: TwoWaveState) -> np.ndarray:
 
 def guided_momentum(s: TwoWaveState) -> np.ndarray:
     return s.M * guided_velocity(s)
-
-
-def quantum_potential(s: TwoWaveState, z) -> float:
-    """Q = (h^2 / 8 pi^2 m0) box(a)/a; for the cosine amplitude box(a)/a is
-    the constant chi^2, so Q does not depend on z (off the nodes, where the
-    quotient is undefined)."""
-    if np.min(np.abs(amplitude(s, z))) < 1e-12:
-        raise NodeSingularityError("quantum potential undefined on an amplitude node")
-    return (s.h ** 2 / (8.0 * math.pi ** 2 * s.m0)) * s.chi ** 2
 
 
 def quantum_force(s: TwoWaveState, z) -> float:
@@ -202,18 +179,6 @@ def ionization_kick(dd, kappa: float, out=None):
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     return np.multiply(-kappa, dd, out=out)
-
-
-def trace_angles(kicks, spacings) -> np.ndarray:
-    """Running direction of the trace with Ox: after interaction i the angle
-    is arctan of the accumulated sum of kick/spacing ratios."""
-    kicks = np.asarray(kicks, dtype=float)
-    spacings = np.asarray(spacings, dtype=float)
-    if kicks.shape != spacings.shape:
-        raise ValueError("kicks and spacings must have equal length")
-    if np.any(spacings <= 0):
-        raise ValueError("spacings must be positive")
-    return np.arctan(np.cumsum(kicks / spacings))
 
 
 # --------------------------------------------------------------------------
@@ -311,20 +276,6 @@ class ExpConfig:
                              f"got {self.kick_law!r}")
         if self.n_trials < 1:
             raise ValueError("n_trials must be positive")
-
-
-@dataclass
-class TraceRecord:
-    """Registered ionizations of one specimen and what was read off them."""
-
-    ionizations: list[tuple[np.ndarray, float]]
-    estimated_p: np.ndarray
-    gammas: np.ndarray
-
-    def __post_init__(self):
-        times = [t for _, t in self.ionizations]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("ionization times must be strictly increasing")
 
 
 @dataclass
@@ -446,21 +397,6 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     )
 
 
-def run_trace(s: TwoWaveState, cfg: ExpConfig, seed: int) -> TraceRecord:
-    """One specimen through the two layers, keeping the raw registrations:
-    the draws of ``simulate_exp`` with ``n_trials=1`` from the same seed."""
-    z0s, kicks = _trial_draws(s, cfg, seed, 1)
-    z0, kick = float(z0s[0]), float(kicks[0])
-    v = guided_velocity(s)
-    t2 = cfg.lambda_sep / v[0]
-    r1 = np.array([0.0, 0.0, z0])
-    r2 = np.array([cfg.lambda_sep, 0.0, z0 + kick])
-    estimated = s.M * (r2 - r1) / t2
-    gammas = np.arctan(np.array([kick]) / cfg.lambda_sep)
-    return TraceRecord(ionizations=[(r1, 0.0), (r2, t2)],
-                       estimated_p=estimated, gammas=gammas)
-
-
 def _fringe_phase_conserved(s: TwoWaveState, hist: Histogram1D) -> bool:
     """The L2 position histogram keeps its maxima on the chi-periodic comb:
     mass near density maxima must dominate mass near the nodes."""
@@ -508,8 +444,9 @@ class PlaneWaveSum:
         with np.errstate(all="ignore"):  # extreme inputs overflow or underflow
             reach = np.abs((self.momenta[1:] - self.momenta[0]) / self.hbar).sum(
                 axis=1) * self.box  # bound on each term's phase across the box
+            sums = pair_sum_spectrum(self)[0]
             totals = (self.density_bound(), _pair_weights(self).sum())
-        if not (np.isfinite(reach).all()
+        if not (np.isfinite(reach).all() and np.isfinite(sums).all()
                 and all(np.finfo(float).tiny <= x < math.inf for x in totals)):
             raise ValueError("a derived quantity is out of range")
 
@@ -555,15 +492,6 @@ class PlaneWaveSum:
         """hbar grad(arg psi), shape (..., 3)."""
         return _guided_momentum(self.momenta, self.terms(r))
 
-    # genesis attachment protocol ------------------------------------------
-
-    def sample_position(self, gen: np.random.Generator) -> np.ndarray:
-        """One point of |psi|^2, drawn from ``gen``."""
-        return _sample_box(self, gen, 1)[0][0]
-
-    def momentum_at(self, r, t) -> np.ndarray:
-        return self.guided_momentum_at(np.asarray(r, dtype=float))
-
 
 def _guided_momentum(momenta: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """hbar grad(arg psi) = Re(sum_n t_n p_n / sum_n t_n) from the terms t_n
@@ -591,16 +519,16 @@ def _box_squeeze(w: PlaneWaveSum, phases: np.ndarray) -> np.ndarray:
     return re
 
 
-def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator, positions: bool):
+def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
     """Acceptance rate and ``propose`` of the rejection sampler for |psi|^2
     in the box against its sharp bound: ``propose(m)`` draws m candidates
-    from ``gen`` and returns the accepted ones' positions, shape (3, k), if
-    ``positions``, and their ``w.terms``, shape (N, k).  With distinct
-    momenta on the box's reciprocal lattice the rate is sum |w_n|^2 /
-    (sum |w_n|)^2.  The float32 squeeze rejects every candidate whose uniform
-    lies more than _BOX_MARGIN per wave above it; the float64 terms decide
-    the rest.  Each round's phases come from one product over the whole
-    round, since BLAS may round a product over a subset differently."""
+    from ``gen`` and returns the accepted ones' ``w.terms``, shape (N, k).
+    The rate is sum |w_n|^2 / (sum |w_n|)^2, exact with distinct momenta on
+    the box's reciprocal lattice (``box_acceptance_rate`` is exact off it
+    too); it only sizes the rounds.  The float32 squeeze rejects every
+    candidate whose uniform lies more than _BOX_MARGIN per wave above it;
+    the float64 terms decide the rest.  Each round's phases come from one
+    product over the whole round, as BLAS may round a subset differently."""
     amps = np.abs(w.weights) / np.max(np.abs(w.weights))
     bound = w.density_bound()
     margin = _BOX_MARGIN * len(amps)
@@ -614,22 +542,49 @@ def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator, positions: bool):
             squeeze += margin
             live = np.flatnonzero(u <= squeeze)
             u, phases = u.take(live), phases.take(live, axis=1)
-        else:  # the float64 terms decide every candidate
-            live = np.arange(m)
+        # otherwise the float64 terms decide every candidate
         terms = w.terms_at(phases)
         psi = terms.sum(axis=0)
         keep = np.flatnonzero(u * bound <= psi.real ** 2 + psi.imag ** 2)
-        terms = terms.take(keep, axis=1)
-        return (r.take(live.take(keep), axis=1), terms) if positions else (terms,)
+        return (terms.take(keep, axis=1),)
 
     return np.sum(amps ** 2) / np.sum(amps) ** 2, propose
 
 
-def _sample_box(w: PlaneWaveSum, gen: np.random.Generator, n: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """n points of |psi|^2 in the box, shape (n, 3), and their ``w.terms``."""
-    r, terms = _rejection_sample(n, *_box_proposal(w, gen, True))
-    return r.T, terms
+# a Born check draws n_samples / box_acceptance_rate candidates on average.
+# It may draw up to 2**64, centuries at 10^8 a second, so that a count too
+# large for memory (2**62 at a rate of 1/2) still fails as one.
+BOX_CANDIDATE_BUDGET = 2 ** 64
+
+
+def box_acceptance_rate(w: PlaneWaveSum) -> float:
+    """Exact acceptance rate of the box sampler, the mean of |psi|^2 over the
+    box over its bound: sum_nm a_n conj(a_m) prod_axes g(x_nm), with a_n =
+    w_n / sum |w_n|, x_nm = (p_n - p_m) box / hbar and g(x) the mean of
+    e^{ixu} over u in [0, 1]: sin(x)/x + i (1 - cos x)/x, and 1 at x = 0."""
+    k = (w.momenta - w.momenta[0]) / w.hbar * w.box  # finite, as the load checks
+    with np.errstate(all="ignore"):  # x = 0 is set below; |g| <= 2/|x| -> 0
+        x = k[:, None, :] - k[None, :, :]
+        g = np.sin(x) / x + 2j * (np.sin(0.5 * x) ** 2 / x)
+    g[x == 0] = 1.0
+    g[np.isinf(x)] = 0.0
+    a = w.weights / np.sum(np.abs(w.weights))
+    return float((a @ g.prod(axis=2) @ a.conj()).real)
+
+
+def check_box_budget(w: PlaneWaveSum, n_samples: int) -> None:
+    """Refuse a Born check whose box sampler would draw more than
+    BOX_CANDIDATE_BUDGET candidates, or whose acceptance rate is within
+    rounding of 0: each of the N^2 terms of ``box_acceptance_rate`` errs by
+    at most 16 eps |a_n a_m|, and their sum adds at most 2N eps of
+    sum |a_n a_m| = 1, so a rate up to (2N + 16) eps may be 0."""
+    rate = box_acceptance_rate(w)
+    noise = (2 * len(w.components) + 16) * np.finfo(float).eps
+    if not rate > noise or n_samples / rate > BOX_CANDIDATE_BUDGET:
+        raise ValueError(
+            f"the box sampler's acceptance rate is {rate:.3g} (rounding noise "
+            f"{noise:.2g}): {n_samples} samples would need more candidates "
+            f"than the budget of 2**64")
 
 
 def pair_sum_spectrum(w: PlaneWaveSum) -> tuple[np.ndarray, np.ndarray]:
@@ -701,9 +656,9 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    # the draws of _sample_box, keeping only the terms
+    check_box_budget(w, n_samples)
     guided = _guided_momentum(w.momenta, _rejection_sample(
-        n_samples, *_box_proposal(w, trial_generator(seed, _POSITIONS), False))[0])
+        n_samples, *_box_proposal(w, trial_generator(seed, _POSITIONS)))[0])
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)
     lows = np.minimum(guided.min(axis=0), cand_vecs.min(axis=0))

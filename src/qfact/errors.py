@@ -35,10 +35,6 @@ class DestroyedSpecimenError(QfactError):
     """A specimen can be measured once; a fresh generation is required."""
 
 
-class GuidedCodingUnavailableError(QfactError):
-    """Guided coding requires a wave attachment on the specimen."""
-
-
 class UnlinkedObservableError(QfactError):
     """No transform matrix links the reference observable to the target."""
 
@@ -46,10 +42,6 @@ class UnlinkedObservableError(QfactError):
 class InconsistentLawsError(QfactError):
     """No phase assignment reproduces the measured laws: the law set is not
     representable as squared projections of a single state vector."""
-
-
-class NodeSingularityError(QfactError):
-    """Quantum potential evaluated exactly at an amplitude node."""
 
 
 class ScenarioError(QfactError):

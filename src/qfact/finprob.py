@@ -50,6 +50,7 @@ class FactualLaw:
         self.spectrum = tuple(self.spectrum)
         if len(set(self.spectrum)) != len(self.spectrum):
             raise ValueError("spectrum labels must be unique")
+        self.block_size_n0 = check_integer(self.block_size_n0)
         if self.block_size_n0 < 1:
             raise ValueError("block_size_n0 must be a positive integer")
         self.epsilon = check_in_unit_interval(self.epsilon, "epsilon")

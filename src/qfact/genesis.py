@@ -10,17 +10,13 @@ stream; a specimen draws from the numpy Generator it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from . import finprob
-from .errors import (
-    DestroyedSpecimenError,
-    DimensionMismatchError,
-    GuidedCodingUnavailableError,
-)
+from .errors import DestroyedSpecimenError, DimensionMismatchError
 from .hilbert import (
     HamiltonianSpec,
     ObservableSpec,
@@ -35,13 +31,9 @@ from .validation import check_rng
 
 @dataclass(frozen=True)
 class GenerationOp:
-    """Base recipe; concrete kinds below.  ``attachment`` optionally points
-    to a closed-form wave scenario used for guided coding (duck-typed: it
-    must provide sample_position(gen), drawing from the Generator gen, and
-    momentum_at(r, t))."""
+    """Base recipe; concrete kinds below."""
 
     id: str
-    attachment: object | None = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -101,8 +93,6 @@ class Specimen:
     require ``alive`` and clear it."""
 
     hidden_state: OracleState
-    dbb_attachment: object | None = None
-    corpuscle_position: np.ndarray | None = None
     alive: bool = True
 
     def _consume(self):
@@ -120,24 +110,13 @@ class CodedOutcome:
     trial_id: int = 0
 
     @property
-    def region_index(self) -> int:
-        """The region the marks landed in: the coding map is the identity."""
-        return self.eigen_index
-
-    @property
     def label(self) -> str:
         return f"{self.observable}:{self.eigen_index}"
 
 
-def generate(g: GenerationOp, rng) -> Specimen:
-    """Realize the recipe once, drawing an attachment's position from rng."""
-    rng = check_rng(rng)
-    state = resolve_state(g)
-    position = None
-    if g.attachment is not None:
-        position = g.attachment.sample_position(rng)
-    return Specimen(hidden_state=state, dbb_attachment=g.attachment,
-                    corpuscle_position=position)
+def generate(g: GenerationOp) -> Specimen:
+    """Realize the recipe once."""
+    return Specimen(hidden_state=resolve_state(g))
 
 
 def mes_coding_nc(s: Specimen, obs: ObservableSpec, rng, trial_id: int = 0
@@ -145,17 +124,6 @@ def mes_coding_nc(s: Specimen, obs: ObservableSpec, rng, trial_id: int = 0
     """Non-composed coding measurement: marks registered in region j code
     the eigenvalue with the same index: the one-factor complete measurement."""
     return mes_complete(s, [obs], rng, trial_id)[0]
-
-
-def mes_coding_guided(s: Specimen, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Guided coding: read position and guided momentum off the trace."""
-    if s.dbb_attachment is None:
-        raise GuidedCodingUnavailableError(
-            "guided coding needs a wave attachment on the specimen")
-    s._consume()
-    r = np.asarray(s.corpuscle_position, dtype=float)
-    p = np.asarray(s.dbb_attachment.momentum_at(r, t), dtype=float)
-    return r, p
 
 
 def _joint_law(state: OracleState, obs_list) -> tuple[np.ndarray, list[int]]:
@@ -183,16 +151,6 @@ def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
     return [CodedOutcome(observable=o.name, eigen_index=int(j),
                          eigenvalue=float(o.eigenvalues[int(j)]), trial_id=trial_id)
             for o, j in zip(obs_list, parts)]
-
-
-def time_of_flight(x_n, t_n: float, t0: float, m: float) -> np.ndarray:
-    """Momentum m * x_n / (t_n - t0) of a corpuscle of mass m that left the
-    origin at t0 and marked the impact point x_n at t_n."""
-    if t_n <= t0:
-        raise ValueError("flight time must be positive")
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    return m * np.asarray(x_n, dtype=float) / (t_n - t0)
 
 
 def _draw_law(labels, probs, n, eps, delta, n0, seed, stream):

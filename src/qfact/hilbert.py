@@ -93,9 +93,6 @@ class TransformMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def inverse(self) -> "TransformMatrix":
-        return TransformMatrix(self.target, self.source, self.entries.conj().T)
-
 
 def transform_between(a: ObservableSpec, b: ObservableSpec) -> TransformMatrix:
     """tau(a -> b) with entries <v_k|u_j> for the two eigenbases."""

@@ -311,6 +311,14 @@ def _generation(doc, scn: Scenario) -> GenerationOp:
     return recipe
 
 
+def _born_check(doc, scn: Scenario) -> BornCheckPlan:
+    """The plan, within the box sampler's budget on ``dbb.plane_waves``."""
+    plan = BornCheckPlan(**_fields(doc, n_samples=_positive, bins=_positive))
+    if (waves := scn.sections.get("dbb.plane_waves")) is not None:
+        dbb.check_box_budget(waves, plan.n_samples)
+    return plan
+
+
 # built in this order: a section may use the ones above it
 _SECTIONS = {
     "states": _table(lambda _, vec: OracleState(_complex_vector(vec))),
@@ -329,8 +337,7 @@ _SECTIONS = {
     "dbb.plane_waves": lambda doc, scn: dbb.PlaneWaveSum(**_fields(
         doc, box=_real, hbar=_real, components=_list_of(
             _record(weight=_complex, momentum=_reals)))),
-    "dbb.borncheck": lambda doc, scn: BornCheckPlan(
-        **_fields(doc, n_samples=_positive, bins=_positive)),
+    "dbb.borncheck": _born_check,
     "generation": _generation,
 }
 

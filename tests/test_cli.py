@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -705,7 +706,14 @@ def test_borncheck_repeated_momentum_exit_code_2(tmp_path, capsys):
     {"hbar": 1e-320},
     {"components": [{"weight": [0.8e-200, 0.0], "momentum": [2.0, 0.0, 3.0]},
                     {"weight": [0.6e-200, 0.0], "momentum": [2.0, 0.0, -3.0]}]},
-], ids=["momenta", "hbar", "weights"])
+    # p_0 + p_1 overflows to inf, the candidate momentum of the Born check
+    {"box": 1e-300, "components": [
+        {"weight": [0.8, 0.0], "momentum": [0.9e308, 0.0, 0.0]},
+        {"weight": [0.6, 0.0], "momentum": [0.95e308, 0.0, 0.0]}]},
+    {"box": 1.0, "components": [
+        {"weight": [1.0, 0.0], "momentum": [1e308, 0.0, 0.0]},
+        {"weight": [1.0, 0.0], "momentum": [1.5e308, 0.0, 0.0]}]},
+], ids=["momenta", "hbar", "weights", "pair_sum_overflows", "pair_sum_box_1"])
 def test_plane_waves_out_of_range_exit_code_2(tmp_path, capsys, change):
     # qfact exp loads dbb.plane_waves without sampling it, so it ends even
     # where a borncheck would sample forever
@@ -720,17 +728,16 @@ def test_plane_waves_out_of_range_exit_code_2(tmp_path, capsys, change):
 
 
 @pytest.mark.parametrize("command,section,change", [
-    ("borncheck", "plane_waves", {"box": 1e-300, "components": [
-        {"weight": [0.8, 0.0], "momentum": [0.9e308, 0.0, 0.0]},
-        {"weight": [0.6, 0.0], "momentum": [0.95e308, 0.0, 0.0]}]}),
+    ("borncheck", "plane_waves", {"box": 1.0, "components": [
+        {"weight": [1.0, 0.0], "momentum": [1e308, 0.0, 0.0]}]}),
     ("exp", "exp", {"lambda_sep": 1.7976931348623157e308}),
     ("exp", "exp", {"kappa": 1e308, "kick_law": "normal"}),
-], ids=["pair_sum_overflows", "lambda_sep_largest", "kappa_normal_kicks"])
+], ids=["mean_guided_p_overflows", "lambda_sep_largest", "kappa_normal_kicks"])
 def test_non_finite_output_exit_code_1(tmp_path, command, section, change):
-    # a p_0 + p_1 that overflows to inf, flight distances (lambda_sep
-    # times the scaling factors) that overflow to inf, and normal kicks, which
-    # have no bound, that overflow to inf: JSON cannot hold any of them, so
-    # nothing is written.
+    # a mean of guided momenta near the largest float that overflows to inf,
+    # flight distances (lambda_sep times the scaling factors) that overflow
+    # to inf, and normal kicks, which have no bound, that overflow to inf:
+    # JSON cannot hold any of them, so nothing is written.
     # Run as a user runs it, where numpy's overflow warnings stay warnings.
     doc = copy.deepcopy(DBB_DOC)
     doc["dbb"][section].update(change)
@@ -750,6 +757,38 @@ def test_non_finite_output_exit_code_1(tmp_path, command, section, change):
 def test_csv_refuses_non_finite_numbers(x):
     with pytest.raises(QfactError, match="NaN or an infinity"):
         cli._csv_text(["lambda", "mean_abs_gamma"], [(1.0, 0.5), (2.0, x)])
+
+
+def box_sampler_doc(p_x, n_samples):
+    """DBB_DOC with weights 1 and -1 at momenta 0 and (p_x, 0, 0) in a unit
+    box: |psi|^2 is about p_x^2 |r_x|^2 against a bound of 4."""
+    doc = copy.deepcopy(DBB_DOC)
+    doc["dbb"]["plane_waves"] = {"box": 1.0, "components": [
+        {"weight": [1.0, 0.0], "momentum": [0.0, 0.0, 0.0]},
+        {"weight": [-1.0, 0.0], "momentum": [p_x, 0.0, 0.0]}]}
+    doc["dbb"]["borncheck"]["n_samples"] = n_samples
+    return doc
+
+
+@pytest.mark.parametrize("p_x,n_samples,rate", [
+    # an acceptance rate of 8e-20, below what float64 resolves: the sampler,
+    # which assumed a rate of 1/2, ran until killed
+    (1e-9, 100, ""),
+    # a rate of 8.3e-8 that would need 2.6e19 candidates
+    (1e-3, 2 ** 41, "8.33e-08"),
+], ids=["rate_within_rounding", "past_candidate_budget"])
+def test_borncheck_sampler_that_would_not_finish_exit_code_2(
+        tmp_path, capsys, p_x, n_samples, rate):
+    path = write_scenario(tmp_path, box_sampler_doc(p_x, n_samples))
+    started = time.perf_counter()
+    code = cli.main(["borncheck", "--scenario", path,
+                     "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: dbb.borncheck: ")
+    assert f"acceptance rate is {rate}" in err and "budget of 2**64" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_borncheck_command_outputs(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,20 +8,15 @@ from qfact.dbb import (
     ExpConfig,
     PlaneWaveSum,
     TwoWaveState,
-    amplitude,
     default_kappa,
     extended_born_check,
     guided_momentum,
     guided_velocity,
     ionization_kick,
     quantum_force,
-    quantum_potential,
-    run_trace,
     simulate_exp,
     straight_line_positions,
-    trace_angles,
 )
-from qfact.errors import NodeSingularityError
 from qfact.seeding import trial_generator
 
 ELECTRON = dict(v12=1.0e6, theta0=0.1, delta_phase=0.3, m0=9.109e-31)
@@ -38,22 +32,23 @@ def zero_of_amplitude(s):
     return (math.pi / 2 - s.delta_phase / 2) / s.chi
 
 
-# --- amplitude --------------------------------------------------------------
+# --- amplitude, through the fringe density (its square, peak 1) -------------
 
 def test_amplitude_maximum(wave):
     z_max = -wave.delta_phase / (2 * wave.chi)
-    assert amplitude(wave, z_max) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert dbb.fringe_density(wave, z_max) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_amplitude_node(wave):
-    assert amplitude(wave, zero_of_amplitude(wave)) == pytest.approx(0.0, abs=1e-6)
+    assert dbb.fringe_density(wave, zero_of_amplitude(wave)) == \
+        pytest.approx(0.0, abs=1e-12)
 
 
 def test_amplitude_periodicity(wave, rng):
+    # the amplitude has period 2 pi / chi; its square half that
     for z in rng.uniform(-1e-9, 1e-9, size=10):
-        period = 2 * math.pi / wave.chi
-        assert amplitude(wave, z + period) == \
-            pytest.approx(amplitude(wave, z), rel=1e-9, abs=1e-12)
+        assert dbb.fringe_density(wave, z + wave.fringe_period) == \
+            pytest.approx(dbb.fringe_density(wave, z), rel=1e-9, abs=1e-12)
 
 
 # --- guidance ---------------------------------------------------------------
@@ -106,33 +101,12 @@ def test_guided_momentum_is_half_branch_sum(wave):
     assert guided_momentum(wave) == pytest.approx((p1 + p2) / 2, rel=1e-12)
 
 
-# --- quantum potential and force ----------------------------------------------
-
-def test_quantum_potential_constant_off_nodes(wave):
-    q1 = quantum_potential(wave, 1.3e-10)
-    q2 = quantum_potential(wave, -2.7e-10)
-    assert q1 == pytest.approx(q2, rel=1e-12)
-
+# --- quantum force --------------------------------------------------------------
 
 def test_quantum_force_zero_everywhere(wave, rng):
     for z in rng.uniform(-1e-9, 1e-9, size=50):
         assert quantum_force(wave, z) == 0.0
     assert quantum_force(wave, zero_of_amplitude(wave)) == 0.0
-
-
-def test_quantum_potential_scales_as_chi_squared():
-    s1 = TwoWaveState.from_corpuscle_speed(v12=1e6, theta0=0.1,
-                                           delta_phase=0.0, m0=9.109e-31)
-    s2 = TwoWaveState.from_corpuscle_speed(v12=2e6, theta0=0.1,
-                                           delta_phase=0.0, m0=9.109e-31)
-    ratio = s2.chi / s1.chi
-    assert quantum_potential(s2, 0.0) == pytest.approx(
-        ratio ** 2 * quantum_potential(s1, 0.0), rel=1e-9)
-
-
-def test_quantum_potential_node_singularity(wave):
-    with pytest.raises(NodeSingularityError):
-        quantum_potential(wave, zero_of_amplitude(wave))
 
 
 # --- kicks and traces ---------------------------------------------------------
@@ -152,20 +126,6 @@ def test_default_kappa_hand_evaluation(wave):
     by_hand = (h * h) * wave.chi / (4.0 * math.pi * c * c * m0 * m0)
     assert default_kappa(wave) == pytest.approx(by_hand, rel=1e-15)
     assert default_kappa(wave) == pytest.approx(4.0266e-15, rel=1e-4)
-
-
-def test_trace_angles_all_zero_kicks():
-    assert trace_angles([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]) == \
-        pytest.approx([0.0, 0.0, 0.0])
-
-
-def test_trace_angles_single_kick():
-    assert trace_angles([0.5], [2.0]) == pytest.approx([math.atan(0.25)])
-
-
-def test_trace_angles_accumulate():
-    got = trace_angles([0.1, -0.1], [1.0, 1.0])
-    assert got == pytest.approx([math.atan(0.1), 0.0])
 
 
 def test_trace_mean_zero_and_inverse_lambda_scaling(wave):
@@ -245,32 +205,6 @@ def test_exp_counter_mode_reproducible(wave):
     assert s1.sigma_z == s2.sigma_z
 
 
-def test_run_trace_record(wave):
-    cfg = ExpConfig(lambda_sep=1e-6, n_trials=1)
-    rec = run_trace(wave, cfg, 4)
-    assert len(rec.ionizations) == 2
-    (r1, t1), (r2, t2) = rec.ionizations
-    assert t2 > t1
-    assert rec.estimated_p[0] == pytest.approx(guided_momentum(wave)[0], rel=1e-12)
-    assert rec.gammas.shape == (1,)
-
-
-def test_run_trace_honours_kick_law(wave):
-    # one trial has at most two kicks, each within kappa * KICK_HALF_WIDTH
-    # under the uniform law; the normal law must leave that support
-    def kicks(law):
-        cfg = ExpConfig(lambda_sep=1e-6, kick_law=law, n_trials=1)
-        out = []
-        for seed in range(32):
-            (r1, _), (r2, _) = run_trace(wave, cfg, seed).ionizations
-            out.append(abs(r2[2] - r1[2]))
-        return np.array(out)
-
-    support = 2 * default_kappa(wave) * dbb.KICK_HALF_WIDTH
-    assert np.all(kicks("uniform") <= support)
-    assert np.any(kicks("normal") > support)
-
-
 def test_straight_line_trajectory_exact(wave):
     r0 = np.array([1.0e-7, 0.0, 2.0e-10])
     times = np.linspace(0.0, 1e-11, 101)
@@ -320,13 +254,16 @@ def test_plane_wave_sum_rejects_repeated_momentum():
     ((0.8e200, 0.6e200), ((2, 0, 3), (2, 0, -3)), 2 * math.pi, 1.0),
     ((1, 1e-170), ((2, 0, 3), (2, 0, -3)), 2 * math.pi, 1.0),
     ((1e-170,), ((2, 0, 3),), 2 * math.pi, 1.0),
+    ((1, 1), ((1e308, 0, 0), (1.5e308, 0, 0)), 1.0, 1.0),
 ], ids=["wave_number", "hbar", "phase_across_box", "bound_underflow",
-        "bound_overflow", "pair_weights_underflow", "single_wave_underflow"])
+        "bound_overflow", "pair_weights_underflow", "single_wave_underflow",
+        "pair_sum"])
 def test_plane_wave_sum_rejects_out_of_range_derived_quantities(weights, momenta,
                                                                 box, hbar):
     # non-finite wave numbers make every density NaN, so no candidate is ever
     # accepted; a density bound of 0 accepts every candidate; zero pair
-    # weights normalize to NaN
+    # weights normalize to NaN; a pair sum past the largest float is an
+    # infinite candidate momentum
     with pytest.raises(ValueError, match="a derived quantity is out of range"):
         PlaneWaveSum(components=tuple(zip(weights, momenta)), box=box, hbar=hbar)
 
@@ -336,6 +273,10 @@ def test_plane_wave_sum_accepts_extreme_finite_inputs():
                      box=2 * math.pi, hbar=1e-300)
     vecs, wts = dbb.pair_sum_spectrum(w)
     assert np.all(np.isfinite(vecs)) and wts.tolist() == [1.0]
+    # box / hbar overflows, each wave number times box does not
+    w = PlaneWaveSum(components=((1.0, (0, 0, 0)), (1.0, (1e-300, 0, 0))),
+                     box=1e300, hbar=1e-300)
+    assert dbb.box_acceptance_rate(w) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_single_plane_wave_delta_at_p():
@@ -494,7 +435,7 @@ def test_borncheck_marginals_are_histograms_of_guided_momenta():
     n = 20_000
     rec = extended_born_check(w, n, 17, bins=16)
     # the check draws its points from stream 0 of its seed
-    positions, _ = dbb._sample_box(w, trial_generator(17, 0), n)
+    positions, _ = direct_box(w, trial_generator(17, 0), n)
     guided = w.guided_momentum_at(positions)
     assert rec.mean_guided_p == pytest.approx(guided.mean(axis=0), abs=1e-12)
     for axis, hist in enumerate(rec.guided_hists):
@@ -523,22 +464,6 @@ def test_three_wave_mean_guided_p_within_clt_bound_of_quadrature():
     sd = math.sqrt(np.sum(dens * (pz - mean) ** 2))
     assert abs(rec.mean_guided_p[2] - mean) <= 5 * sd / math.sqrt(n)
     assert rec.mean_guided_p[:2] == pytest.approx([1.0, -2.0], abs=1e-12)
-
-
-@pytest.mark.parametrize("law", ["uniform", "normal"])
-def test_run_trace_is_the_one_trial_run(wave, law):
-    cfg = ExpConfig(lambda_sep=1e-6, kick_law=law, n_trials=5_000)
-    for seed in range(8):
-        rec = run_trace(wave, cfg, seed)
-        one = simulate_exp(wave, replace(cfg, n_trials=1), seed)
-        assert np.array_equal(rec.estimated_p, one.mean_estimated_p)
-        assert one.lambda_table[0][0] == cfg.lambda_sep
-        assert abs(rec.gammas[0]) == one.lambda_table[0][1]
-    # the trace starts at the point sample_position draws from the
-    # positions stream of the same seed
-    for seed in range(8):
-        (r1, _), _ = run_trace(wave, cfg, seed).ionizations
-        assert r1[2] == wave.sample_position(trial_generator(seed, 0))[2]
 
 
 # --- the squeezed samplers against the direct proposals ---------------------------
@@ -603,13 +528,55 @@ BOX_CASES = {
 def test_box_sampler_equals_direct_proposals(case, box):
     w = PlaneWaveSum(components=BOX_CASES[case], box=box)
     for seed in SEEDS:
-        r, terms = dbb._sample_box(w, trial_generator(seed, 0), 20_000)
-        r0, terms0 = direct_box(w, trial_generator(seed, 0), 20_000)
-        assert np.array_equal(r, r0) and np.array_equal(terms, terms0)
+        terms, = dbb._rejection_sample(
+            20_000, *dbb._box_proposal(w, trial_generator(seed, 0)))
+        _, terms0 = direct_box(w, trial_generator(seed, 0), 20_000)
+        assert np.array_equal(terms, terms0)
     # the Born check draws the same points and keeps their terms
     rec = extended_born_check(w, 20_000, 49)
     guided = dbb._guided_momentum(w.momenta, terms0)
     assert np.array_equal(rec.mean_guided_p, guided.mean(axis=0))
+
+
+@pytest.mark.parametrize("components,assumed_refuted", [
+    # exact 0.3761, assumed 0.3735
+    (BOX_CASES["off_lattice_three"], False),
+    # p_z = 0.37 lies off the lattice of a 2 pi box: exact 0.343, assumed 1/2
+    (((1.0, (0.0, 0.0, 0.0)), (-1.0, (0.0, 0.0, 0.37))), True),
+], ids=["off_lattice_three", "cancelling_pair"])
+def test_box_acceptance_rate_matches_monte_carlo(components, assumed_refuted):
+    # the share of 2 * 10^6 uniform candidates that |psi|^2 accepts against
+    # its bound is binomial with the exact rate as its mean
+    w = PlaneWaveSum(components=components, box=2 * math.pi)
+    gen, m, accepted = np.random.default_rng(29), 250_000, 0
+    for _ in range(8):
+        r = gen.uniform(0.0, w.box, (m, 3))
+        density = np.abs(direct_field(components, r, w.hbar)) ** 2
+        accepted += int(np.sum(gen.random(m) * w.density_bound() <= density))
+    rate, n = dbb.box_acceptance_rate(w), 8 * m
+    bound = 5 * math.sqrt(rate * (1 - rate) / n)
+    assert abs(accepted / n - rate) <= bound
+    if assumed_refuted:  # the rate the sampler assumes, sum |w_n|^2 / (sum |w_n|)^2
+        assert abs(accepted / n - 0.5) > 10 * bound
+
+
+@pytest.mark.parametrize("case", ["shipped", "equal_px_py"])
+def test_box_acceptance_rate_on_the_lattice_is_the_assumed_rate(case):
+    # integer momentum differences in a 2 pi box: the cross terms average out
+    w = PlaneWaveSum(components=BOX_CASES[case], box=2 * math.pi)
+    amps = np.abs(w.weights)
+    assert dbb.box_acceptance_rate(w) == pytest.approx(
+        np.sum(amps ** 2) / np.sum(amps) ** 2, rel=1e-14)
+
+
+def test_born_check_refuses_a_rate_within_rounding():
+    # weights 1 and -1, momenta 1e-9 apart in a unit box: |psi|^2 stays near
+    # 1e-18 against a bound of 4
+    w = PlaneWaveSum(components=((1.0, (0.0, 0.0, 0.0)), (-1.0, (1e-9, 0.0, 0.0))),
+                     box=1.0)
+    assert dbb.box_acceptance_rate(w) < 1e-15
+    with pytest.raises(ValueError, match="rounding noise 4.4e-15"):
+        extended_born_check(w, 100, 1)
 
 
 def test_fringe_squeeze_within_a_quarter_margin():

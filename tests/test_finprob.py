@@ -211,6 +211,22 @@ def test_law_invariants_enforced():
     assert law.n_total == 3
 
 
+@pytest.mark.parametrize("n0", [True, 2.5, 0, -3])
+def test_law_block_size_must_be_a_positive_integer(n0):
+    # a bool or a fraction would be written to law.csv as "True" or "2.5",
+    # which no reader takes back as a block size
+    with pytest.raises((TypeError, ValueError)):
+        FactualLaw(LABELS, [[1, 2]], n0, 0.02, 0.05)
+
+
+def test_law_block_size_integral_float_read_as_int():
+    # 10.0 follows the scenario schema's integer rule, and reads back
+    law = FactualLaw(LABELS, [[1, 2]], 10.0, 0.02, 0.05)
+    assert type(law.block_size_n0) is int and law.block_size_n0 == 10
+    assert finprob.to_csv(law).splitlines()[1].startswith("3,10,")
+    assert finprob.from_csv(finprob.to_csv(law)).block_size_n0 == 10
+
+
 def test_law_total_must_stay_below_2_63():
     # an int64 table sum would wrap to -2**63
     with pytest.raises(ValueError, match="below 2\\*\\*63"):

@@ -4,41 +4,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qfact import dbb, finprob, hilbert
-from qfact.errors import (
-    DestroyedSpecimenError,
-    DimensionMismatchError,
-    GuidedCodingUnavailableError,
-)
+from qfact import finprob, hilbert
+from qfact.errors import DestroyedSpecimenError, DimensionMismatchError
 from qfact.genesis import (
     Composed,
     Evolved,
     MultiSystem,
     Simple,
     generate,
-    mes_coding_guided,
     mes_coding_nc,
     mes_complete,
     resolve_state,
     run_complete_successions,
     run_laws,
     run_successions,
-    time_of_flight,
 )
 from qfact.hilbert import OracleState, born_law, compose_superposition, random_observable, random_state
 from qfact.seeding import block_table
-
-
-def two_wave_fixture():
-    return dbb.TwoWaveState.from_corpuscle_speed(
-        v12=1.0e6, theta0=0.1, delta_phase=0.25, m0=9.109e-31)
 
 
 # --- generate ---------------------------------------------------------------
 
 def test_generate_simple_reproduces_state(rng):
     psi = random_state(3, rng)
-    s = generate(Simple("G", state=psi), rng)
+    s = generate(Simple("G", state=psi))
     assert s.alive
     assert s.hidden_state is psi
 
@@ -69,18 +58,17 @@ def test_eigenstate_specimen_codes_its_eigenvalue(rng):
     obs = random_observable("A", 3, rng)
     psi = OracleState(obs.eigenbasis[:, 1])
     for k in range(10):
-        s = generate(Simple("G", state=psi), rng)
+        s = generate(Simple("G", state=psi))
         out = mes_coding_nc(s, obs, np.random.default_rng(k))
         assert out.eigen_index == 1
         assert out.eigenvalue == obs.eigenvalues[1]
-        assert out.region_index == out.eigen_index
         assert out.label == "A:1"
 
 
 def test_specimen_destroyed_after_measurement(rng):
     psi = random_state(2, rng)
     obs = random_observable("A", 2, rng)
-    s = generate(Simple("G", state=psi), rng)
+    s = generate(Simple("G", state=psi))
     mes_coding_nc(s, obs, rng)
     assert not s.alive
     with pytest.raises(DestroyedSpecimenError):
@@ -98,82 +86,6 @@ def test_succession_frequencies_match_born_law(rng):
     sigma = np.sqrt(pi * (1 - pi) / n)
     assert np.all(np.abs(freq - pi) <= 3 * sigma)
     assert finprob.check_convergence(law).stable
-
-
-# --- guided coding ----------------------------------------------------------
-
-def test_guided_coding_two_wave_momentum():
-    wave = two_wave_fixture()
-    expected = dbb.guided_momentum(wave)
-    for k in range(5):
-        s = generate(Simple("G", state=random_state(2, np.random.default_rng(k)),
-                            attachment=wave), np.random.default_rng(k))
-        r, p = mes_coding_guided(s, t=0.0)
-        assert p == pytest.approx(expected, abs=0.0)
-        assert not s.alive
-
-
-def test_guided_coding_plane_wave_exact_hbar_k():
-    hbar = 1.0
-    k_vec = np.array([1.5, -0.5, 2.0])
-    wave = dbb.PlaneWaveSum(components=((1.0 + 0j, tuple(k_vec * hbar)),),
-                            box=2 * np.pi, hbar=hbar)
-    s = generate(Simple("G", state=random_state(2, np.random.default_rng(0)),
-                        attachment=wave), np.random.default_rng(1))
-    _, p = mes_coding_guided(s, t=0.0)
-    assert p == pytest.approx(hbar * k_vec, abs=1e-12)
-
-
-def test_guided_ensemble_momentum_sharp_position_dispersed():
-    wave = two_wave_fixture()
-    gen = np.random.default_rng(7)
-    momenta, positions = [], []
-    for _ in range(10_000):
-        s = generate(Simple("G", state=OracleState(np.array([1.0, 0.0])),
-                            attachment=wave), gen)
-        r, p = mes_coding_guided(s, t=0.0)
-        momenta.append(p[0])
-        positions.append(r[2])
-    momenta, positions = np.array(momenta), np.array(positions)
-    assert np.var(momenta - momenta[0]) == 0.0
-    assert np.var(positions) > 0.0
-    hbar = wave.hbar
-    assert np.std(momenta - momenta[0]) * np.std(positions) < hbar / 2
-
-
-def test_guided_coding_needs_attachment(rng):
-    s = generate(Simple("G", state=random_state(2, rng)), rng)
-    with pytest.raises(GuidedCodingUnavailableError):
-        mes_coding_guided(s, t=0.0)
-
-
-# --- time of flight ---------------------------------------------------------
-
-def test_time_of_flight_arithmetic():
-    p = time_of_flight(np.array([1.0, 0.0, 0.0]), t_n=2.0, t0=0.0, m=2.0)
-    assert p == pytest.approx([1.0, 0.0, 0.0])
-
-
-def test_time_of_flight_zero_displacement():
-    p = time_of_flight(np.zeros(3), t_n=1.0, t0=0.0, m=3.0)
-    assert p == pytest.approx([0.0, 0.0, 0.0])
-
-
-def test_time_of_flight_magnitude_matches_componentwise_formula(rng):
-    for _ in range(20):
-        d = rng.normal(size=3)
-        dt = float(rng.uniform(0.1, 5.0))
-        m = float(rng.uniform(0.1, 10.0))
-        p = time_of_flight(d, t_n=dt, t0=0.0, m=m)
-        magnitude = m * (d[0] ** 2 + d[1] ** 2 + d[2] ** 2) ** 0.5 / dt
-        assert np.linalg.norm(p) == pytest.approx(magnitude, abs=1e-12)
-
-
-def test_time_of_flight_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        time_of_flight(np.zeros(3), t_n=0.0, t0=0.0, m=1.0)
-    with pytest.raises(ValueError):
-        time_of_flight(np.zeros(3), t_n=1.0, t0=0.0, m=0.0)
 
 
 # --- run_successions --------------------------------------------------------
@@ -231,8 +143,8 @@ def test_one_factor_runs_are_the_complete_measurement_runs():
     psi, obs = random_state(3, setup), random_observable("A", 3, setup)
     g = MultiSystem("G", joint_state=psi, factor_dims=(3,))
     g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
-    coded = [mes_coding_nc(generate(g, g1), obs, g1, trial_id=t) for t in range(200)]
-    assert coded == [mes_complete(generate(g, g2), [obs], g2, trial_id=t)[0]
+    coded = [mes_coding_nc(generate(g), obs, g1, trial_id=t) for t in range(200)]
+    assert coded == [mes_complete(generate(g), [obs], g2, trial_id=t)[0]
                      for t in range(200)]
     assert len({c.eigen_index for c in coded}) == 3
     law = run_successions(g, obs, 25_000, 0.02, 0.05, 1_000, 17, stream=3)
@@ -317,7 +229,7 @@ def test_complete_measurement_one_group_per_factor(rng):
     joint = random_state(4, rng)
     g = MultiSystem("G2", joint_state=joint, factor_dims=(2, 2))
     obs = [random_observable("A1", 2, rng), random_observable("A2", 2, rng)]
-    s = generate(g, rng)
+    s = generate(g)
     outcomes = mes_complete(s, obs, rng)
     assert len(outcomes) == 2
     assert [o.observable for o in outcomes] == ["A1", "A2"]
@@ -383,7 +295,7 @@ def test_folded_successions_follow_born_law_in_full_blocks():
     law = finprob.FactualLaw.empty(obs.labels(), block_size_n0=n0)
     for _ in range(n):
         law = finprob.accumulate(
-            law, mes_coding_nc(generate(g, gen), obs, gen).label)
+            law, mes_coding_nc(generate(g), obs, gen).label)
     assert law.blocks.sum(axis=1).tolist() == [n0] * (n // n0)
     # oracle: |<u_j|psi>|^2 from the eigenbasis columns
     pi = np.array([abs(np.vdot(obs.eigenbasis[:, j], psi.amplitudes)) ** 2
@@ -404,7 +316,7 @@ def test_complete_measurement_outcomes_follow_joint_born_law():
     obs = [random_observable("A1", 2, setup), random_observable("A2", 3, setup)]
     gen, n = np.random.default_rng(2719), 10_000
     flat = [np.ravel_multi_index(
-                [o.eigen_index for o in mes_complete(generate(g, gen), obs, gen)],
+                [o.eigen_index for o in mes_complete(generate(g), obs, gen)],
                 (2, 3))
             for _ in range(n)]
     counts = np.bincount(flat, minlength=6)

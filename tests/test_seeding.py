@@ -42,16 +42,16 @@ def test_keyed_runs_take_an_integer_seed():
 
 
 def test_specimens_draw_from_their_generator():
-    # the attachment protocol draws from the Generator it is given, without
-    # deriving a keyed stream from it
-    wave = dbb.TwoWaveState.from_corpuscle_speed(1e6, 0.1, 0.3, 9.109e-31)
-    g = genesis.Simple("G", state=hilbert.OracleState(np.array([1.0, 0.0])),
-                       attachment=wave)
+    # a measurement draws from the Generator it is given, without deriving a
+    # keyed stream from it
+    obs = hilbert.basis_observable("A", 2)
+    g = genesis.Simple("G", state=hilbert.OracleState(np.array([0.6, 0.8])))
     gen = np.random.default_rng(3)
-    positions = [genesis.generate(g, gen).corpuscle_position for _ in range(3)]
+    coded = [genesis.mes_coding_nc(genesis.generate(g), obs, gen).eigen_index
+             for _ in range(20)]
+    law = hilbert.born_law(g.state, obs)
     again = np.random.default_rng(3)
-    assert [p[2] for p in positions] == [
-        dbb._sample_fringe(wave, again, 1, dbb.Z_PERIODS)[0] for _ in range(3)]
+    assert coded == [int(again.choice(2, p=law / law.sum())) for _ in range(20)]
 
 
 def test_specimen_api_takes_only_a_generator():
@@ -59,7 +59,6 @@ def test_specimen_api_takes_only_a_generator():
     obs = hilbert.basis_observable("A", 2)
     g = genesis.Simple("G", state=hilbert.OracleState(np.array([0.6, 0.8])))
     calls = [
-        lambda rng: genesis.generate(g, rng),
         lambda rng: genesis.mes_complete(genesis.Specimen(g.state), [obs], rng),
         lambda rng: hilbert.random_state(2, rng),
     ]
