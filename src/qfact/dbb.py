@@ -345,15 +345,10 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     z0, kick_total = _trial_draws(s, cfg, seed, n)
 
     dt = cfg.lambda_sep / v[0]
-    # one buffer holds p_x = M dx / dt (every trial flies dx = lambda_sep),
-    # then the lambda table's angles, then dz and p_z = M dz / dt
-    buf = np.full(n, cfg.lambda_sep)
-    buf *= s.M
-    buf /= dt
-    mean_px = buf.mean()
-    # shift-invariant spreads: identical samples give exactly zero sigma
-    buf -= buf[0]
-    sigma_px = float(np.std(buf))
+    # every trial flies dx = lambda_sep: one p_x = M dx / dt, spread 0
+    mean_px, sigma_px = s.M * cfg.lambda_sep / dt, 0.0
+    # one buffer holds the lambda table's angles, then dz and p_z = M dz / dt
+    buf = np.empty(n)
 
     lam_table = []
     for f in cfg.lambda_scaling_factors:
@@ -364,7 +359,7 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
 
     z2 = np.add(z0, kick_total, out=kick_total)
     dz = np.subtract(z2, z0, out=buf)
-    z0 -= z0[0]
+    z0 -= z0[0]  # shift-invariant: identical samples give exactly zero sigma
     sigma_z = float(np.std(z0))
     gamma = np.arctan2(dz, cfg.lambda_sep, out=z0)  # z0 is spent
     pz = dz
@@ -520,18 +515,15 @@ def _box_squeeze(w: PlaneWaveSum, phases: np.ndarray) -> np.ndarray:
 
 
 def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
-    """Acceptance rate and ``propose`` of the rejection sampler for |psi|^2
-    in the box against its sharp bound: ``propose(m)`` draws m candidates
-    from ``gen`` and returns the accepted ones' ``w.terms``, shape (N, k).
-    The rate is sum |w_n|^2 / (sum |w_n|)^2, exact with distinct momenta on
-    the box's reciprocal lattice (``box_acceptance_rate`` is exact off it
-    too); it only sizes the rounds.  The float32 squeeze rejects every
-    candidate whose uniform lies more than _BOX_MARGIN per wave above it;
-    the float64 terms decide the rest.  Each round's phases come from one
-    product over the whole round, as BLAS may round a subset differently."""
-    amps = np.abs(w.weights) / np.max(np.abs(w.weights))
+    """``propose`` of the rejection sampler for |psi|^2 in the box against
+    its sharp bound: ``propose(m)`` draws m candidates from ``gen`` and
+    returns the accepted ones' ``w.terms``, shape (N, k).  The float32
+    squeeze rejects every candidate whose uniform lies more than _BOX_MARGIN
+    per wave above it; the float64 terms decide the rest.  Each round's
+    phases come from one product over the whole round, as BLAS may round a
+    subset differently."""
     bound = w.density_bound()
-    margin = _BOX_MARGIN * len(amps)
+    margin = _BOX_MARGIN * len(w.components)
 
     def propose(m):
         r = gen.random((3, m)) * w.box
@@ -548,7 +540,7 @@ def _box_proposal(w: PlaneWaveSum, gen: np.random.Generator):
         keep = np.flatnonzero(u * bound <= psi.real ** 2 + psi.imag ** 2)
         return (terms.take(keep, axis=1),)
 
-    return np.sum(amps ** 2) / np.sum(amps) ** 2, propose
+    return propose
 
 
 # a Born check draws n_samples / box_acceptance_rate candidates on average.
@@ -572,11 +564,11 @@ def box_acceptance_rate(w: PlaneWaveSum) -> float:
     return float((a @ g.prod(axis=2) @ a.conj()).real)
 
 
-def check_box_budget(w: PlaneWaveSum, n_samples: int) -> None:
-    """Refuse a Born check whose box sampler would draw more than
-    BOX_CANDIDATE_BUDGET candidates, or whose acceptance rate is within
-    rounding of 0: each of the N^2 terms of ``box_acceptance_rate`` errs by
-    at most 16 eps |a_n a_m|, and their sum adds at most 2N eps of
+def check_box_budget(w: PlaneWaveSum, n_samples: int) -> float:
+    """``box_acceptance_rate``, after refusing a Born check whose box sampler
+    would draw more than BOX_CANDIDATE_BUDGET candidates, or whose rate is
+    within rounding of 0: each of the N^2 terms of ``box_acceptance_rate``
+    errs by at most 16 eps |a_n a_m|, and their sum adds at most 2N eps of
     sum |a_n a_m| = 1, so a rate up to (2N + 16) eps may be 0."""
     rate = box_acceptance_rate(w)
     noise = (2 * len(w.components) + 16) * np.finfo(float).eps
@@ -585,6 +577,7 @@ def check_box_budget(w: PlaneWaveSum, n_samples: int) -> None:
             f"the box sampler's acceptance rate is {rate:.3g} (rounding noise "
             f"{noise:.2g}): {n_samples} samples would need more candidates "
             f"than the budget of 2**64")
+    return rate
 
 
 def pair_sum_spectrum(w: PlaneWaveSum) -> tuple[np.ndarray, np.ndarray]:
@@ -656,9 +649,9 @@ def extended_born_check(w: PlaneWaveSum, n_samples: int, seed: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    check_box_budget(w, n_samples)
+    rate = check_box_budget(w, n_samples)
     guided = _guided_momentum(w.momenta, _rejection_sample(
-        n_samples, *_box_proposal(w, trial_generator(seed, _POSITIONS)))[0])
+        n_samples, rate, _box_proposal(w, trial_generator(seed, _POSITIONS)))[0])
 
     cand_vecs, cand_wts = pair_sum_spectrum(w)
     lows = np.minimum(guided.min(axis=0), cand_vecs.min(axis=0))

@@ -148,7 +148,7 @@ def amplitudes_from_law(law) -> np.ndarray:
 def _wrap_phase(alpha: np.ndarray) -> np.ndarray:
     """Map phases into (-pi, pi]."""
     wrapped = np.mod(alpha + np.pi, 2 * np.pi) - np.pi
-    wrapped[np.isclose(wrapped, -np.pi)] = np.pi
+    wrapped[wrapped == -np.pi] = np.pi
     return wrapped
 
 

@@ -771,8 +771,8 @@ def box_sampler_doc(p_x, n_samples):
 
 
 @pytest.mark.parametrize("p_x,n_samples,rate", [
-    # an acceptance rate of 8e-20, below what float64 resolves: the sampler,
-    # which assumed a rate of 1/2, ran until killed
+    # an acceptance rate of 8e-20, below what float64 resolves: a sampler
+    # that took the lattice rate of 1/2 ran until killed
     (1e-9, 100, ""),
     # a rate of 8.3e-8 that would need 2.6e19 candidates
     (1e-3, 2 ** 41, "8.33e-08"),

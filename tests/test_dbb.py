@@ -188,6 +188,15 @@ def test_exp_heisenberg_product(wave):
     assert summary.heisenberg_product < summary.hbar_half
 
 
+def test_exp_px_is_its_closed_form(wave):
+    # every trial flies lambda_sep in dt: p_x is M lambda_sep / dt to the bit
+    cfg = ExpConfig(lambda_sep=1e-6, n_trials=1_000)
+    summary = simulate_exp(wave, cfg, 8088)
+    dt = cfg.lambda_sep / guided_velocity(wave)[0]
+    assert summary.mean_estimated_p[0] == wave.M * cfg.lambda_sep / dt
+    assert summary.sigma_px == 0.0
+
+
 def test_exp_lambda_table_slope(wave):
     cfg = ExpConfig(lambda_sep=1e-6, n_trials=100_000)
     summary = simulate_exp(wave, cfg, 31)
@@ -481,7 +490,6 @@ def direct_fringe(s, gen, n, n_periods):
 
 def direct_box(w, gen, n):
     """Every candidate decided on |psi|^2 from the full float64 terms."""
-    amps = np.abs(w.weights) / np.max(np.abs(w.weights))
 
     def propose(m):
         r = gen.random((3, m)) * w.box
@@ -490,8 +498,7 @@ def direct_box(w, gen, n):
         keep = gen.random(m) * w.density_bound() <= psi.real ** 2 + psi.imag ** 2
         return np.compress(keep, r, axis=1), np.compress(keep, terms, axis=1)
 
-    r, terms = dbb._rejection_sample(
-        n, np.sum(amps ** 2) / np.sum(amps) ** 2, propose)
+    r, terms = dbb._rejection_sample(n, dbb.box_acceptance_rate(w), propose)
     return r.T, terms
 
 
@@ -527,9 +534,10 @@ BOX_CASES = {
 ], ids=[*BOX_CASES, "exact_fallback"])
 def test_box_sampler_equals_direct_proposals(case, box):
     w = PlaneWaveSum(components=BOX_CASES[case], box=box)
+    rate = dbb.box_acceptance_rate(w)
     for seed in SEEDS:
         terms, = dbb._rejection_sample(
-            20_000, *dbb._box_proposal(w, trial_generator(seed, 0)))
+            20_000, rate, dbb._box_proposal(w, trial_generator(seed, 0)))
         _, terms0 = direct_box(w, trial_generator(seed, 0), 20_000)
         assert np.array_equal(terms, terms0)
     # the Born check draws the same points and keeps their terms
@@ -538,13 +546,13 @@ def test_box_sampler_equals_direct_proposals(case, box):
     assert np.array_equal(rec.mean_guided_p, guided.mean(axis=0))
 
 
-@pytest.mark.parametrize("components,assumed_refuted", [
-    # exact 0.3761, assumed 0.3735
+@pytest.mark.parametrize("components,lattice_refuted", [
+    # exact 0.3761, lattice rate 0.3735
     (BOX_CASES["off_lattice_three"], False),
-    # p_z = 0.37 lies off the lattice of a 2 pi box: exact 0.343, assumed 1/2
+    # p_z = 0.37 lies off the lattice of a 2 pi box: exact 0.343, lattice rate 1/2
     (((1.0, (0.0, 0.0, 0.0)), (-1.0, (0.0, 0.0, 0.37))), True),
 ], ids=["off_lattice_three", "cancelling_pair"])
-def test_box_acceptance_rate_matches_monte_carlo(components, assumed_refuted):
+def test_box_acceptance_rate_matches_monte_carlo(components, lattice_refuted):
     # the share of 2 * 10^6 uniform candidates that |psi|^2 accepts against
     # its bound is binomial with the exact rate as its mean
     w = PlaneWaveSum(components=components, box=2 * math.pi)
@@ -556,13 +564,14 @@ def test_box_acceptance_rate_matches_monte_carlo(components, assumed_refuted):
     rate, n = dbb.box_acceptance_rate(w), 8 * m
     bound = 5 * math.sqrt(rate * (1 - rate) / n)
     assert abs(accepted / n - rate) <= bound
-    if assumed_refuted:  # the rate the sampler assumes, sum |w_n|^2 / (sum |w_n|)^2
+    if lattice_refuted:  # the lattice rate sum |w_n|^2 / (sum |w_n|)^2
         assert abs(accepted / n - 0.5) > 10 * bound
 
 
 @pytest.mark.parametrize("case", ["shipped", "equal_px_py"])
 def test_box_acceptance_rate_on_the_lattice_is_the_assumed_rate(case):
-    # integer momentum differences in a 2 pi box: the cross terms average out
+    # integer momentum differences in a 2 pi box: the cross terms average out,
+    # leaving the lattice rate sum |w_n|^2 / (sum |w_n|)^2
     w = PlaneWaveSum(components=BOX_CASES[case], box=2 * math.pi)
     amps = np.abs(w.weights)
     assert dbb.box_acceptance_rate(w) == pytest.approx(

@@ -414,6 +414,24 @@ def test_predict_heldout_matches_oracle_exact():
     assert np.max(np.abs(pred - born_law(psi, heldout))) < 1e-6
 
 
+def test_phase_near_minus_pi_is_not_moved():
+    # a phase 1e-5 from -pi lies within np.isclose of -pi: wrapping must
+    # keep it, or the held-out law moves by about 2e-6
+    psi = OracleState(np.sqrt([0.5, 0.3, 0.2])
+                      * np.exp(1j * np.array([0.0, 0.7, -np.pi + 1e-5])))
+    rng = np.random.default_rng(3)
+    ref = basis_observable("A", 3)
+    partners = [random_observable(f"B{i}", 3, rng) for i in range(2)]
+    heldout = random_observable("D", 3, rng)
+    laws = {o.name: born_law(psi, o) for o in (ref, *partners)}
+    taus = {o.name: transform_between(ref, o) for o in partners}
+    phases, _ = retrieve_phases(laws["A"],
+                                {o.name: laws[o.name] for o in partners}, taus)
+    pred = predict_heldout(assemble_equivalent(laws, phases, taus, "A"),
+                           transform_between(ref, heldout))
+    assert np.max(np.abs(pred - born_law(psi, heldout))) < 1e-12
+
+
 def test_predict_requires_link():
     exp = assemble_equivalent({"A": np.array([0.5, 0.5])}, np.zeros(2), {}, "A")
     with pytest.raises(UnlinkedObservableError):
