@@ -21,6 +21,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import dbb, finprob, scenario
 from .errors import QfactError, ScenarioError
 from .genesis import resolve_state, run_laws
@@ -29,9 +31,16 @@ from .probtree import build_tree
 from .reconstruct import StateReconstructor, predict_heldout
 
 
+def _plain(value):  # json's hook for what it cannot write: numpy values
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _json_text(doc) -> str:
     try:  # JSON has no NaN or infinity; a reader would take them as errors
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                          default=_plain) + "\n"
     except ValueError as exc:
         raise QfactError(f"an output holds a NaN or an infinity: {exc}") from None
 
@@ -41,6 +50,7 @@ def _csv_text(header: list[str], rows) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
+        row = [x.item() if isinstance(x, np.generic) else x for x in row]
         if not all(math.isfinite(x) for x in row if isinstance(x, float)):
             raise QfactError(f"an output row holds a NaN or an infinity: {row!r}")
         w.writerow([repr(x) if isinstance(x, float) else x for x in row])
@@ -48,14 +58,18 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _hist_csv(hist: dbb.Histogram1D) -> str:
-    rows = [(float(lo), float(hi), float(m))
-            for lo, hi, m in zip(hist.edges[:-1], hist.edges[1:], hist.mass)]
-    return _csv_text(["bin_low", "bin_high", "mass"], rows)
+    return _csv_text(["bin_low", "bin_high", "mass"],
+                     zip(hist.edges[:-1], hist.edges[1:], hist.mass))
+
+
+def _doc(result, omit=(), **extra) -> dict:
+    """A result's fields but those written elsewhere, plus the run's settings."""
+    return {**{k: v for k, v in vars(result).items() if k not in omit}, **extra}
 
 
 def _verdict_doc(law, verdict) -> dict:
-    return {**dataclasses.asdict(verdict), "epsilon": law.epsilon,
-            "delta": law.delta, "block_size_n0": law.block_size_n0}
+    return _doc(verdict, epsilon=law.epsilon, delta=law.delta,
+                block_size_n0=law.block_size_n0)
 
 
 # --------------------------------------------------------------------------
@@ -113,47 +127,28 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
 
     outputs = {
         "expansion.json": _json_text(est.expansion_.to_json_dict()),
-        "retrieval_report.json": _json_text({
-            "residual": est.report_.residual,
-            "restarts_used": est.report_.restarts_used,
-            "converged": est.report_.converged,
-            "ambiguity_flag": est.report_.ambiguity_flag,
-            "tolerance": plan.retrieval.tol,
-            "source": plan.source,
-        }),
+        "retrieval_report.json": _json_text(_doc(
+            est.report_, omit=("alternate_phases",), tolerance=plan.retrieval.tol,
+            source=plan.source)),
     }
     for name in plan.heldout:
         predicted = predict_heldout(est.expansion_, scn.transform(plan.reference, name))
-        obs = scn.observable(name)
         outputs[f"predicted_{name}.json"] = _json_text(
-            {obs.label(k): float(p) for k, p in enumerate(predicted)})
+            dict(zip(scn.observable(name).labels(), predicted)))
     return outputs
 
 
 def cmd_exp(scn: scenario.Scenario) -> dict[str, str]:
     summary = dbb.simulate_exp(scn.section("dbb.two_wave"),
                                scn.section("dbb.exp"), scn.seed)
-    p1, p2 = summary.reference_spectrum
-    doc = {
-        "n_trials": summary.n_trials,
-        "guided_p": [float(x) for x in summary.guided_p],
-        "reference_spectrum": [[float(x) for x in p1], [float(x) for x in p2]],
-        "mean_estimated_p": [float(x) for x in summary.mean_estimated_p],
-        "sigma_px": summary.sigma_px,
-        "sigma_z": summary.sigma_z,
-        "heisenberg_product": summary.heisenberg_product,
-        "hbar_half": summary.hbar_half,
-        "heisenberg_violated": summary.heisenberg_product < summary.hbar_half,
-        "phase_relation_conserved": summary.phase_relation_conserved,
-        "lambda_table": [[float(l), float(g)] for l, g in summary.lambda_table],
-    }
+    doc = _doc(summary, omit=("direction_hist", "fringe_hist"),
+               heisenberg_violated=summary.heisenberg_product < summary.hbar_half)
     return {
         "exp_summary.json": _json_text(doc),
         "exp_direction_hist.csv": _hist_csv(summary.direction_hist),
         "exp_fringe_hist.csv": _hist_csv(summary.fringe_hist),
-        "exp_lambda_table.csv": _csv_text(
-            ["lambda", "mean_abs_gamma"],
-            [(float(l), float(g)) for l, g in summary.lambda_table]),
+        "exp_lambda_table.csv": _csv_text(["lambda", "mean_abs_gamma"],
+                                          summary.lambda_table),
     }
 
 
@@ -161,20 +156,11 @@ def cmd_borncheck(scn: scenario.Scenario) -> dict[str, str]:
     plan = scn.section("dbb.borncheck")
     rec = dbb.extended_born_check(scn.section("dbb.plane_waves"),
                                   plan.n_samples, scn.seed, bins=plan.bins)
-    vecs, wts = rec.candidate_spectrum
-    doc = {
-        "n_samples": rec.n_samples,
-        "mean_guided_p": [float(x) for x in rec.mean_guided_p],
-        "candidate_spectrum": [
-            {"momentum": [float(x) for x in v], "weight": float(w)}
-            for v, w in zip(vecs, wts)],
-        "total_variation": rec.total_variation,
-        "histogram_mass_total": rec.histogram_mass_total,
-    }
-    outputs = {"borncheck_summary.json": _json_text(doc)}
-    for axis, hist in zip("xyz", rec.guided_hists):
-        outputs[f"borncheck_p{axis}.csv"] = _hist_csv(hist)
-    return outputs
+    doc = _doc(rec, omit=("guided_hists",), candidate_spectrum=[
+        {"momentum": v, "weight": w} for v, w in zip(*rec.candidate_spectrum)])
+    return {"borncheck_summary.json": _json_text(doc),
+            **{f"borncheck_p{axis}.csv": _hist_csv(hist)
+               for axis, hist in zip("xyz", rec.guided_hists)}}
 
 
 COMMANDS = {

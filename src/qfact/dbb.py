@@ -327,6 +327,17 @@ def _trial_draws(s: TwoWaveState, cfg: ExpConfig, seed: int,
     return z0, total
 
 
+def flight_time(s: TwoWaveState, cfg: ExpConfig) -> float:
+    """Time to fly lambda_sep from L1 to L2 at the guided speed."""
+    if not s.guided_speed > 0:
+        raise ValueError("the dbb.two_wave guided speed must be positive")
+    dt = cfg.lambda_sep / s.guided_speed
+    if not 0 < dt < math.inf:
+        raise ValueError("the flight time lambda_sep / guided speed must be "
+                         "finite and positive")
+    return dt
+
+
 def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     """Run the two-layer experiment on an ensemble of specimens.
 
@@ -339,12 +350,9 @@ def simulate_exp(s: TwoWaveState, cfg: ExpConfig, seed: int) -> ExpSummary:
     (seed, 1), so trial i depends on n_trials as well as on the seed.
     """
     n = cfg.n_trials
-    v = guided_velocity(s)
-    if v[0] <= 0:
-        raise ValueError("guided speed must be positive to reach L2")
+    dt = flight_time(s, cfg)
     z0, kick_total = _trial_draws(s, cfg, seed, n)
 
-    dt = cfg.lambda_sep / v[0]
     # every trial flies dx = lambda_sep: one p_x = M dx / dt, spread 0
     mean_px, sigma_px = s.M * cfg.lambda_sep / dt, 0.0
     # one buffer holds the lambda table's angles, then dz and p_z = M dz / dt

@@ -231,7 +231,8 @@ def from_json_dict(doc: dict) -> FactualLaw:
     """Read :func:`to_json_dict`'s layout, and no other key, with JSON's
     types: a list of string labels, numbers for epsilon and delta, and
     objects of counts; the declared ``counts`` and ``n_total`` must equal
-    the sums of the block table."""
+    the sums of the block table, and every block but the last must hold
+    exactly n0 trials, the last at most n0."""
     if unknown := [key for key in doc if key not in JSON_KEYS]:
         raise ValueError(f"unknown law key {', '.join(map(repr, unknown))}")
     spectrum, counts = doc["spectrum"], doc["counts"]
@@ -245,6 +246,12 @@ def from_json_dict(doc: dict) -> FactualLaw:
     declared = {k: check_integer(v) for k, v in counts.items()}
     if declared != law.counts or check_integer(doc["n_total"]) != law.n_total:
         raise ValueError("declared counts and n_total disagree with the block table")
+    sizes, n0 = law.blocks.sum(axis=1), law.block_size_n0
+    off = np.flatnonzero(sizes != n0)  # at most a partial last block
+    if len(off) and (off[0] < len(sizes) - 1 or sizes[-1] > n0):
+        raise ValueError(f"block_history[{off[0]}] holds {sizes[off[0]]} trials; "
+                         f"each block but the last holds block_size_n0 = {n0}, "
+                         f"the last at most that")
     return law
 
 

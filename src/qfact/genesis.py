@@ -107,7 +107,6 @@ class CodedOutcome:
     observable: str
     eigen_index: int
     eigenvalue: float
-    trial_id: int = 0
 
     @property
     def label(self) -> str:
@@ -119,11 +118,10 @@ def generate(g: GenerationOp) -> Specimen:
     return Specimen(hidden_state=resolve_state(g))
 
 
-def mes_coding_nc(s: Specimen, obs: ObservableSpec, rng, trial_id: int = 0
-                  ) -> CodedOutcome:
+def mes_coding_nc(s: Specimen, obs: ObservableSpec, rng) -> CodedOutcome:
     """Non-composed coding measurement: marks registered in region j code
     the eigenvalue with the same index: the one-factor complete measurement."""
-    return mes_complete(s, [obs], rng, trial_id)[0]
+    return mes_complete(s, [obs], rng)[0]
 
 
 def _joint_law(state: OracleState, obs_list) -> tuple[np.ndarray, list[int]]:
@@ -139,8 +137,7 @@ def _joint_law(state: OracleState, obs_list) -> tuple[np.ndarray, list[int]]:
     return np.abs(basis.conj().T @ state.amplitudes) ** 2, dims
 
 
-def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
-                 ) -> list[CodedOutcome]:
+def mes_complete(s: Specimen, obs_list, rng) -> list[CodedOutcome]:
     """Complete measurement on a multi-system specimen: one group of marks
     per factor, sampled jointly from the joint Born law."""
     s._consume()
@@ -149,7 +146,7 @@ def mes_complete(s: Specimen, obs_list, rng, trial_id: int = 0
                                      p=joint_law / joint_law.sum()))
     parts = np.unravel_index(flat, dims)
     return [CodedOutcome(observable=o.name, eigen_index=int(j),
-                         eigenvalue=float(o.eigenvalues[int(j)]), trial_id=trial_id)
+                         eigenvalue=float(o.eigenvalues[int(j)]))
             for o, j in zip(obs_list, parts)]
 
 

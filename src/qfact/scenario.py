@@ -256,15 +256,11 @@ def _two_wave(doc, scn: Scenario) -> dbb.TwoWaveState:
 
 
 def _exp(doc, scn: Scenario) -> dbb.ExpConfig:
-    wave = scn.sections.get("dbb.two_wave")
-    if wave is not None and not wave.guided_speed > 0:
-        raise ValueError("the dbb.two_wave guided speed must be positive")
     cfg = dbb.ExpConfig(**_fields(
         doc, lambda_sep=_real, kappa=lambda v: v if v is None else _real(v),
         kick_law=_string, n_trials=_integer))
-    if wave is not None and not 0 < cfg.lambda_sep / wave.guided_speed < math.inf:
-        raise ValueError("the flight time lambda_sep / guided speed must be "
-                         "finite and positive")
+    if "dbb.two_wave" in scn.sections:
+        dbb.flight_time(scn.sections["dbb.two_wave"], cfg)
     return cfg
 
 

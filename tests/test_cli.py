@@ -338,10 +338,13 @@ def test_dimension_mismatch_exit_code_2(tmp_path, capsys, command, path, value):
     ("spectrum", [0, "a2"]),
     ("spectrum", [None, "a2"]),
     ("spectrum", "a1a2"),
+    ("block_history", [{"a1": 6, "a2": 2}] + [{"a1": 3, "a2": 1}] * 8),
+    ("block_history", [{"a1": 2}, {"a1": 1, "a2": 1}] + [{"a1": 3, "a2": 1}] * 9),
 ], ids=["no_block_history", "counts_mismatch", "n_total_mismatch", "count_float",
         "count_bool", "count_string", "block_pairs", "n0_float", "n_total_float",
         "declared_float", "counts_pairs", "epsilon_string", "delta_string",
-        "spectrum_int", "spectrum_null", "spectrum_string"])
+        "spectrum_int", "spectrum_null", "spectrum_string", "block_over_n0",
+        "partial_block_not_last"])
 def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
     # a readable law with one field set to ``value`` (None: deleted); the
     # mismatched counts still sum to n_total, the table's 40 trials, and each
@@ -757,6 +760,25 @@ def test_non_finite_output_exit_code_1(tmp_path, command, section, change):
 def test_csv_refuses_non_finite_numbers(x):
     with pytest.raises(QfactError, match="NaN or an infinity"):
         cli._csv_text(["lambda", "mean_abs_gamma"], [(1.0, 0.5), (2.0, x)])
+
+
+def test_csv_writes_numpy_scalars_as_python_numbers():
+    # numpy 2's repr of a float64 is "np.float64(0.5)"
+    assert cli._csv_text(["x", "n"], [(np.float64(0.5), np.int64(3))]) == "x,n\n0.5,3\n"
+
+
+def test_json_writes_numpy_values_as_plain_json():
+    text = cli._json_text({"a": np.array([0.25, -0.0]), "b": np.float64(0.1),
+                           "c": np.int64(3), "d": np.bool_(True)})
+    assert json.loads(text) == {"a": [0.25, -0.0], "b": 0.1, "c": 3, "d": True}
+    assert text == cli._json_text({"a": [0.25, -0.0], "b": 0.1, "c": 3, "d": True})
+    with pytest.raises(TypeError):
+        cli._json_text({"a": {1, 2}})
+
+
+def test_json_refuses_a_nan_inside_an_array():
+    with pytest.raises(QfactError, match="NaN or an infinity"):
+        cli._json_text({"p": np.array([0.5, math.nan])})
 
 
 def box_sampler_doc(p_x, n_samples):

@@ -197,6 +197,16 @@ def test_exp_px_is_its_closed_form(wave):
     assert summary.sigma_px == 0.0
 
 
+@pytest.mark.parametrize("theta0,lambda_sep", [
+    (1e-300, 1e300), (0.1, 5e-324), (0.0, 1e-6),
+], ids=["flight_time_overflow", "flight_time_underflow", "guided_speed_zero"])
+def test_exp_refuses_a_flight_time_out_of_range(theta0, lambda_sep):
+    # an infinite flight time would give p = 0 and sigma_px = 0 without error
+    s = TwoWaveState.from_corpuscle_speed(1e6, theta0, 0.0, 9.109e-31)
+    with pytest.raises(ValueError, match="guided speed"):
+        simulate_exp(s, ExpConfig(lambda_sep=lambda_sep, n_trials=1_000), 1)
+
+
 def test_exp_lambda_table_slope(wave):
     cfg = ExpConfig(lambda_sep=1e-6, n_trials=100_000)
     summary = simulate_exp(wave, cfg, 31)

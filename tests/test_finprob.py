@@ -252,6 +252,19 @@ def test_json_declared_totals_must_match_block_table():
         finprob.from_json_dict(dict(doc, epsilonn=0.5))
 
 
+@pytest.mark.parametrize("history,named", [
+    ([{"a1": 2, "a2": 2}, {"a1": 1}], 0),
+    ([{"a1": 1, "a2": 1}, {"a1": 1, "a2": 2}, {"a1": 1}], 0),
+    ([{"a1": 1, "a2": 2}, {"a1": 2, "a2": 2}], 1),
+], ids=["block_over_n0", "partial_block_not_last", "last_block_over_n0"])
+def test_json_block_layout_enforced(history, named):
+    # a block of more than n0 trials, or a partial block before the last,
+    # would be left out of the verdict with all of its trials
+    law = FactualLaw.from_block_counts(LABELS, history, block_size_n0=3)
+    with pytest.raises(ValueError, match=rf"block_history\[{named}\]"):
+        finprob.from_json_dict(finprob.to_json_dict(law))
+
+
 @pytest.mark.parametrize("field,value", [
     ("block_history", [{"a1": 1.5, "a2": 2}, {"a1": 1, "a2": 1}]),
     ("block_history", [{"a1": True, "a2": 2}, {"a1": 1, "a2": 1}]),

@@ -143,9 +143,8 @@ def test_one_factor_runs_are_the_complete_measurement_runs():
     psi, obs = random_state(3, setup), random_observable("A", 3, setup)
     g = MultiSystem("G", joint_state=psi, factor_dims=(3,))
     g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
-    coded = [mes_coding_nc(generate(g), obs, g1, trial_id=t) for t in range(200)]
-    assert coded == [mes_complete(generate(g), [obs], g2, trial_id=t)[0]
-                     for t in range(200)]
+    coded = [mes_coding_nc(generate(g), obs, g1) for _ in range(200)]
+    assert coded == [mes_complete(generate(g), [obs], g2)[0] for _ in range(200)]
     assert len({c.eigen_index for c in coded}) == 3
     law = run_successions(g, obs, 25_000, 0.02, 0.05, 1_000, 17, stream=3)
     joint, (marginal,) = run_complete_successions(g, [obs], 25_000, 0.02, 0.05,
