@@ -28,7 +28,7 @@ from .errors import QfactError, ScenarioError
 from .genesis import resolve_state, run_laws
 from .hilbert import born_law
 from .probtree import build_tree
-from .reconstruct import StateReconstructor, predict_heldout
+from .reconstruct import StateReconstructor
 
 
 def _plain(value):  # json's hook for what it cannot write: numpy values
@@ -131,10 +131,9 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
             est.report_, omit=("alternate_phases",), tolerance=plan.retrieval.tol,
             source=plan.source)),
     }
-    for name in plan.heldout:
-        predicted = predict_heldout(est.expansion_, scn.transform(plan.reference, name))
+    for name, tau in zip(plan.heldout, taus[len(plan.partners):]):
         outputs[f"predicted_{name}.json"] = _json_text(
-            dict(zip(scn.observable(name).labels(), predicted)))
+            dict(zip(scn.observable(name).labels(), est.predict(tau))))
     return outputs
 
 

@@ -31,10 +31,6 @@ class DestructiveAnnihilationError(QfactError):
     """Superposition weights cancel: the composed state has (near-)zero norm."""
 
 
-class DestroyedSpecimenError(QfactError):
-    """A specimen can be measured once; a fresh generation is required."""
-
-
 class UnlinkedObservableError(QfactError):
     """No transform matrix links the reference observable to the target."""
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -115,24 +115,6 @@ class FactualLaw:
     def complete_blocks(self) -> np.ndarray:
         """Rows of the blocks that hold exactly n0 trials."""
         return self.blocks[self.blocks.sum(axis=1) == self.block_size_n0]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.spectrum.index(label)
-        except ValueError:
-            raise UnknownLabelError(
-                f"label {label!r} not in spectrum {self.spectrum}") from None
-
-
-def accumulate(law: FactualLaw, outcome: str) -> FactualLaw:
-    """Record one coded outcome; opens a fresh block when the current one fills."""
-    j, table = law.index_of(outcome), law.blocks
-    if len(table) and table[-1].sum() < law.block_size_n0:
-        table = table.copy()
-    else:
-        table = np.vstack([table, np.zeros(len(law.spectrum), dtype=np.int64)])
-    table[-1, j] += 1
-    return replace(law, blocks=table)
 
 
 def frequencies(law: FactualLaw) -> dict[str, float]:

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import dbb, finprob
 from .errors import DimensionMismatchError, ScenarioError
-from .genesis import (
-    Composed, Evolved, GenerationOp, MultiSystem, Simple, resolve_state)
+from .genesis import Composed, Evolved, GenerationOp, Simple, resolve_state
 from .hilbert import (
     HamiltonianSpec,
     ObservableSpec,
@@ -113,7 +112,7 @@ def _reading(where: str):
     except KeyError as exc:
         raise ScenarioError(f"{where}: missing or unknown {exc}") from None
     except (ScenarioError, DimensionMismatchError, TypeError, ValueError,
-            ArithmeticError, OSError) as exc:
+            ArithmeticError, OSError, RecursionError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
@@ -269,7 +268,6 @@ _RECIPE_FIELDS = {
     "simple": dict(state=_string),
     "composed": dict(weights=_complex_vector, components=_list_of(_object)),
     "evolved": dict(base=_object, hamiltonian=_string, dt=_real),
-    "multisystem": dict(state=_string, factor_dims=_list_of(_integer)),
 }
 
 
@@ -277,19 +275,15 @@ def _recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
     kind = _object(doc).get("kind")  # unknown: a KeyError naming it
     doc = _fields(doc, kind=_string, id=_string, **_RECIPE_FIELDS[kind])
     rid = doc.get("id", where)
-    if kind in ("simple", "multisystem"):
-        state = scn.section("states")[doc["state"]]
     if kind == "simple":
-        return Simple(rid, state=state)
+        return Simple(rid, state=scn.section("states")[doc["state"]])
     if kind == "composed":
         comps = tuple(_recipe(c, scn, f"{where}.components[{i}]")
                       for i, c in enumerate(doc["components"]))
         return Composed(rid, weights=doc["weights"], components=comps)
-    if kind == "evolved":
-        ham = scn.section("hamiltonians")[doc["hamiltonian"]]
-        return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
-                       hamiltonian=ham, dt=doc.get("dt", Evolved.dt))
-    return MultiSystem(rid, joint_state=state, factor_dims=doc["factor_dims"])
+    ham = scn.section("hamiltonians")[doc["hamiltonian"]]
+    return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
+                   hamiltonian=ham, dt=doc.get("dt", Evolved.dt))
 
 
 def _generation(doc, scn: Scenario) -> GenerationOp:

@@ -6,7 +6,8 @@ k's law from stream k, a ``stability.sampling`` law takes stream 0; a
 pilot-wave run draws positions from stream 0, ionization counts and kicks
 from stream 1; phase retrieval draws its restart starts from
 ``RESTART_STREAM``, which no law takes, as a sampled reconstruction keys its
-laws and restarts on one seed.  The specimen API draws from a Generator.
+laws and restarts on one seed.  The ``hilbert.random_*`` test inputs draw
+from a Generator.
 """
 
 from __future__ import annotations

@@ -77,7 +77,8 @@ def check_strictly_increasing(values, name="eigenvalues") -> np.ndarray:
 
 
 def check_rng(rng) -> np.random.Generator:
-    """The Generator a specimen draws from; keyed runs take a seed instead."""
+    """The Generator a random test input draws from; keyed runs take a seed
+    instead."""
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"expected a numpy Generator, got {type(rng)!r}")
     return rng

@@ -13,7 +13,7 @@ import pytest
 
 from qfact import cli, finprob, scenario
 from qfact.errors import QfactError, ScenarioError
-from qfact.genesis import Composed, Evolved, MultiSystem, Simple
+from qfact.genesis import Composed, Evolved, Simple
 
 RT2 = 1 / math.sqrt(2)
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,8 +90,7 @@ def test_scenario_requires_seed():
 
 
 def test_scenario_recipe_kinds():
-    bell = [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]
-    doc = {**TWO_LEVEL, "seed": 1, "states": {**TWO_LEVEL["states"], "bell": bell},
+    doc = {**TWO_LEVEL, "seed": 1,
            "hamiltonians": {"H": {"matrix": [[[0.0, 0.0], [1.0, 0.0]],
                                              [[1.0, 0.0], [0.0, 0.0]]]}},
            "generation": {"kind": "composed", "id": "G", "weights": [[1, 0], [0, 1]],
@@ -106,10 +105,10 @@ def test_scenario_recipe_kinds():
             Simple("generation.components[0]", state=psi),
             Evolved("generation.components[1]", hamiltonian=ham, dt=0.5,
                     base=Simple("generation.components[1].base", state=psi))))
-    doc["generation"] = {"kind": "multisystem", "state": "bell", "factor_dims": [2, 2]}
-    scn = scenario.load_scenario(json.dumps(doc))
-    assert scn.section("generation") == MultiSystem(
-        "generation", joint_state=scn.section("states")["bell"], factor_dims=(2, 2))
+    # a kind of earlier versions, now unknown
+    doc["generation"] = {"kind": "multisystem", "state": "psi", "factor_dims": [2]}
+    with pytest.raises(ScenarioError, match="^generation: .*'multisystem'"):
+        scenario.load_scenario(json.dumps(doc))
 
 
 def test_missing_scenario_file_exit_code_2(tmp_path, capsys):
@@ -300,13 +299,11 @@ PSI3 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
 @pytest.mark.parametrize("command,path,value", [
     ("reconstruct", ("observables", "B", "eigenvalues"), [-1.0, 0.0, 1.0]),
     ("reconstruct", ("transforms",), [{"source": "A", "target": "D"}]),
-    ("reconstruct", ("generation",),
-     {"kind": "multisystem", "state": "psi", "factor_dims": [2, 3]}),
     ("reconstruct", ("reconstruction", "partners"), ["B", "D"]),
     ("reconstruct", ("reconstruction", "heldout"), ["D"]),
     ("reconstruct", ("states", "psi"), PSI3),
     ("tree", ("states", "psi"), PSI3),
-], ids=["eigenbasis_size", "transform_dims", "factor_dims", "partner_dim",
+], ids=["eigenbasis_size", "transform_dims", "partner_dim",
         "heldout_dim", "state_dim_reconstruct", "state_dim_tree"])
 def test_dimension_mismatch_exit_code_2(tmp_path, capsys, command, path, value):
     # a document whose dimensions disagree is a schema error, found at load
@@ -361,6 +358,25 @@ def test_stability_unreadable_law_exit_code_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("scenario error: stability: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("nested", ["scenario", "law_json"])
+def test_deeply_nested_input_exit_code_2(tmp_path, capsys, nested):
+    # JSON nested deeper than the interpreter's recursion limit
+    deep = "[" * 5000 + "]" * 5000
+    if nested == "scenario":
+        text = f'{{"seed": 1, "states": {{"psi": {deep}}}}}'
+    else:
+        (tmp_path / "law.json").write_text(deep)
+        text = json.dumps({"seed": 1, "stability": {
+            "law_json": str(tmp_path / "law.json")}})
+    (tmp_path / "scenario.json").write_text(text)
+    code = cli.main(["tree", "--scenario", str(tmp_path / "scenario.json"),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error:")
     assert "Traceback" not in err
 
 

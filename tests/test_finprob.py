@@ -9,7 +9,7 @@ from scipy import stats
 
 from qfact import finprob
 from qfact.errors import EmptyLawError, InsufficientBlocksError, UnknownLabelError
-from qfact.finprob import FactualLaw, accumulate, check_convergence, frequencies
+from qfact.finprob import FactualLaw, check_convergence, frequencies
 from qfact.seeding import trial_generator
 
 LABELS = ("a1", "a2")
@@ -20,64 +20,13 @@ def fresh(spectrum=LABELS, eps=0.02, delta=0.05, n0=4):
 
 
 def fold(law, indices):
-    """Accumulate a stream of spectrum indices one outcome at a time."""
-    for i in indices:
-        law = accumulate(law, law.spectrum[i])
-    return law
-
-
-# --- accumulate -------------------------------------------------------------
-
-def test_accumulate_single_increment():
-    law = accumulate(fresh(), "a1")
-    assert law.counts == {"a1": 1, "a2": 0}
-    assert law.n_total == 1
-
-
-def test_accumulate_disjoint_increment():
-    law = accumulate(accumulate(fresh(), "a1"), "a2")
-    assert law.counts == {"a1": 1, "a2": 1}
-    assert law.n_total == 2
-
-
-def test_accumulate_unknown_label_rejected():
-    with pytest.raises(UnknownLabelError):
-        accumulate(fresh(), "a3")
-
-
-def test_accumulate_opens_new_block_when_full():
-    law = fresh(n0=2)
-    for lab in ("a1", "a2", "a1"):
-        law = accumulate(law, lab)
-    assert law.blocks.shape == (2, 2)
-    assert law.blocks.sum(axis=1).tolist() == [2, 1]
-
-
-def test_accumulate_is_value_like():
-    base = accumulate(fresh(), "a1")
-    accumulate(base, "a2")
-    assert base.counts == {"a1": 1, "a2": 0}
-
-
-@st.composite
-def index_streams(draw):
-    n_labels = draw(st.integers(min_value=1, max_value=4))
-    n0 = draw(st.integers(min_value=1, max_value=6))
-    stream = draw(st.lists(st.integers(min_value=0, max_value=n_labels - 1),
-                           max_size=50))
-    return n_labels, n0, stream
-
-
-@settings(max_examples=100, deadline=None)
-@given(index_streams())
-def test_accumulate_fold_matches_block_bincount(case):
-    n_labels, n0, stream = case
-    law = fold(fresh(spectrum=tuple(f"a{j}" for j in range(n_labels)),
-                     n0=n0), stream)
-    # oracle: one bincount per run of n0 consecutive outcomes
-    assert law.blocks.tolist() == [
-        np.bincount(stream[k:k + n0], minlength=n_labels).tolist()
-        for k in range(0, len(stream), n0)]
+    """The law of a stream of spectrum indices, with the metadata of the
+    empty ``law``: one bincount per n0 consecutive outcomes."""
+    n0, d = law.block_size_n0, len(law.spectrum)
+    rows = [np.bincount(indices[k:k + n0], minlength=d)
+            for k in range(0, len(indices), n0)]
+    return FactualLaw(law.spectrum, np.reshape(rows, (-1, d)), n0, law.epsilon,
+                      law.delta)
 
 
 # --- frequencies ------------------------------------------------------------

@@ -4,32 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from qfact import finprob, hilbert
-from qfact.errors import DestroyedSpecimenError, DimensionMismatchError
-from qfact.genesis import (
-    Composed,
-    Evolved,
-    MultiSystem,
-    Simple,
-    generate,
-    mes_coding_nc,
-    mes_complete,
-    resolve_state,
-    run_complete_successions,
-    run_laws,
-    run_successions,
-)
+from qfact import finprob, genesis, hilbert
+from qfact.genesis import Composed, Evolved, Simple, resolve_state, run_laws, run_successions
 from qfact.hilbert import OracleState, born_law, compose_superposition, random_observable, random_state
 from qfact.seeding import block_table
 
 
-# --- generate ---------------------------------------------------------------
+# --- recipes ------------------------------------------------------------------
 
 def test_generate_simple_reproduces_state(rng):
     psi = random_state(3, rng)
-    s = generate(Simple("G", state=psi))
-    assert s.alive
-    assert s.hidden_state is psi
+    assert resolve_state(Simple("G", state=psi)) is psi
 
 
 def test_evolved_zero_dt_same_law(rng):
@@ -52,28 +37,7 @@ def test_composed_matches_superposition(rng):
         pytest.approx(expected.amplitudes, abs=1e-12)
 
 
-# --- non-composed coding measurement ----------------------------------------
-
-def test_eigenstate_specimen_codes_its_eigenvalue(rng):
-    obs = random_observable("A", 3, rng)
-    psi = OracleState(obs.eigenbasis[:, 1])
-    for k in range(10):
-        s = generate(Simple("G", state=psi))
-        out = mes_coding_nc(s, obs, np.random.default_rng(k))
-        assert out.eigen_index == 1
-        assert out.eigenvalue == obs.eigenvalues[1]
-        assert out.label == "A:1"
-
-
-def test_specimen_destroyed_after_measurement(rng):
-    psi = random_state(2, rng)
-    obs = random_observable("A", 2, rng)
-    s = generate(Simple("G", state=psi))
-    mes_coding_nc(s, obs, rng)
-    assert not s.alive
-    with pytest.raises(DestroyedSpecimenError):
-        mes_coding_nc(s, obs, rng)
-
+# --- run_successions --------------------------------------------------------
 
 def test_succession_frequencies_match_born_law(rng):
     psi = random_state(3, rng)
@@ -88,7 +52,14 @@ def test_succession_frequencies_match_born_law(rng):
     assert finprob.check_convergence(law).stable
 
 
-# --- run_successions --------------------------------------------------------
+def test_eigenstate_specimen_codes_its_eigenvalue(rng):
+    # every specimen of the eigenvector u_1 codes index 1, whatever the seed
+    obs = random_observable("A", 3, rng)
+    g = Simple("G", state=OracleState(obs.eigenbasis[:, 1]))
+    for seed in range(10):
+        law = run_successions(g, obs, 100, 0.02, 0.05, 10, seed)
+        assert law.counts == {"A:0": 0, "A:1": 100, "A:2": 0}
+
 
 def test_run_successions_eigenstate_delta_law(rng):
     obs = random_observable("A", 3, rng)
@@ -136,22 +107,6 @@ def test_run_successions_keyed_by_seed_and_offset():
     assert law(100, 0) != law(99, 0)
 
 
-def test_one_factor_runs_are_the_complete_measurement_runs():
-    # mes_coding_nc and run_successions are the one-factor cases of
-    # mes_complete and run_complete_successions, draw for draw
-    setup = np.random.default_rng(41)
-    psi, obs = random_state(3, setup), random_observable("A", 3, setup)
-    g = MultiSystem("G", joint_state=psi, factor_dims=(3,))
-    g1, g2 = np.random.default_rng(9), np.random.default_rng(9)
-    coded = [mes_coding_nc(generate(g), obs, g1) for _ in range(200)]
-    assert coded == [mes_complete(generate(g), [obs], g2)[0] for _ in range(200)]
-    assert len({c.eigen_index for c in coded}) == 3
-    law = run_successions(g, obs, 25_000, 0.02, 0.05, 1_000, 17, stream=3)
-    joint, (marginal,) = run_complete_successions(g, [obs], 25_000, 0.02, 0.05,
-                                                  1_000, 17, stream=3)
-    assert joint == law and marginal == law
-
-
 def test_run_laws_draws_observable_k_from_stream_k():
     setup = np.random.default_rng(42)
     psi = random_state(3, setup)
@@ -162,6 +117,25 @@ def test_run_laws_draws_observable_k_from_stream_k():
     for k, o in enumerate(obs):
         assert laws[o.name] == run_successions(g, o, n, 0.02, 0.05, 500, 8,
                                                stream=k)
+
+
+def test_run_laws_resolves_the_state_once(monkeypatch):
+    # an evolved recipe diagonalizes its Hamiltonian each time it is resolved
+    setup = np.random.default_rng(43)
+    h = hilbert.HamiltonianSpec(np.diag([0.0, 1.0, 2.0]).astype(complex))
+    g = Evolved("Gt", base=Simple("G", state=random_state(3, setup)),
+                hamiltonian=h, dt=0.5)
+    obs = [random_observable(name, 3, setup) for name in "ABC"]
+    calls = []
+
+    def counted(recipe):
+        calls.append(recipe)
+        return resolve_state(recipe)
+
+    monkeypatch.setattr(genesis, "resolve_state", counted)
+    run_laws(g, obs, 1_000, 0.02, 0.05, 100, 8)
+    # the recipe, then its base from inside it: each resolved once
+    assert len(calls) == 2 and calls[0] is g and calls[1] is g.base
 
 
 # --- block_table ------------------------------------------------------------
@@ -209,122 +183,25 @@ def test_block_table_counts_follow_binomial_oracle():
     assert adjacent.pvalue > 1e-3
 
 
-# --- multi-system complete measurements --------------------------------------
-
-def joint_marginal_oracle(joint_amps, dims, factor, bases):
-    """Brute-force marginal law: loop every joint index tuple."""
-    law = np.zeros(dims[factor])
-    basis = bases[0]
-    for b in bases[1:]:
-        basis = np.kron(basis, b)
-    joint_law = np.abs(basis.conj().T @ joint_amps) ** 2
-    for flat, prob in enumerate(joint_law):
-        idx = np.unravel_index(flat, dims)
-        law[idx[factor]] += prob
-    return law
-
-
-def test_complete_measurement_one_group_per_factor(rng):
-    joint = random_state(4, rng)
-    g = MultiSystem("G2", joint_state=joint, factor_dims=(2, 2))
-    obs = [random_observable("A1", 2, rng), random_observable("A2", 2, rng)]
-    s = generate(g)
-    outcomes = mes_complete(s, obs, rng)
-    assert len(outcomes) == 2
-    assert [o.observable for o in outcomes] == ["A1", "A2"]
-    assert not s.alive
-    with pytest.raises(DestroyedSpecimenError):
-        mes_complete(s, obs, rng)
-
-
-def test_multisystem_marginals_match_partial_trace_oracle(rng):
-    joint = random_state(6, rng)
-    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3))
-    obs = [random_observable("A1", 2, rng), random_observable("A2", 3, rng)]
-    n = 200_000
-    _, marginals = run_complete_successions(g, obs, n, 0.02, 0.05, 10_000, 17)
-    for factor in range(2):
-        oracle = joint_marginal_oracle(joint.amplitudes, (2, 3), factor,
-                                       [o.eigenbasis for o in obs])
-        freq = finprob.frequency_vector(marginals[factor])
-        sigma = np.sqrt(oracle * (1 - oracle) / n)
-        assert np.all(np.abs(freq - oracle) <= 3 * sigma)
-
-
-def test_complete_successions_reject_observables_off_the_factors(rng):
-    # observable i measures factor i: a 3-level then a 2-level observable do
-    # not fit a (2, 3) factorization, though their dims multiply to 6
-    g = MultiSystem("G23", joint_state=random_state(6, rng), factor_dims=(2, 3))
-    obs = [random_observable("A1", 3, rng), random_observable("A2", 2, rng)]
-    with pytest.raises(DimensionMismatchError, match="factor dims"):
-        run_complete_successions(g, obs, 1_000, 0.02, 0.05, 100, 17)
-
-
-def test_multisystem_joint_equals_factor_outcomes(rng):
-    joint = random_state(4, rng)
-    g = MultiSystem("G22", joint_state=joint, factor_dims=(2, 2))
-    obs = [hilbert.basis_observable("A1", 2), hilbert.basis_observable("A2", 2)]
-    joint_law, marginals = run_complete_successions(g, obs, 10_000,
-                                                    0.02, 0.05, 1_000, 23)
-    jf = finprob.frequency_vector(joint_law)
-    # marginal of the joint equals each factor law exactly (same stream)
-    assert marginals[0].counts["A1:0"] == \
-        joint_law.counts["A1*A2:0"] + joint_law.counts["A1*A2:1"]
-    assert marginals[1].counts["A2:0"] == \
-        joint_law.counts["A1*A2:0"] + joint_law.counts["A1*A2:2"]
-    # block by block: sum the joint row over every flat index of a factor
-    for factor, marginal in enumerate(marginals):
-        expected = np.zeros(marginal.blocks.shape, dtype=np.int64)
-        for flat in range(4):
-            j = np.unravel_index(flat, (2, 2))[factor]
-            expected[:, j] += joint_law.blocks[:, flat]
-        assert np.array_equal(marginal.blocks, expected)
-    assert abs(jf.sum() - 1.0) < 1e-12
-
-
-# --- individual successions against the batched runners ----------------------
+# --- individual successions against the batched runner -----------------------
 
 def test_folded_successions_follow_born_law_in_full_blocks():
-    # the individual level: one generate-then-measure succession per coded
-    # outcome, folded into the law one label at a time
+    # the individual level: one Born-law draw per succession, folded into
+    # blocks of n0 consecutive outcomes, against the batched runner
     setup = np.random.default_rng(31)
     psi, obs = random_state(3, setup), random_observable("A", 3, setup)
-    g, gen = Simple("G", state=psi), np.random.default_rng(2718)
     n, n0 = 10_000, 1000
-    law = finprob.FactualLaw.empty(obs.labels(), block_size_n0=n0)
-    for _ in range(n):
-        law = finprob.accumulate(
-            law, mes_coding_nc(generate(g), obs, gen).label)
-    assert law.blocks.sum(axis=1).tolist() == [n0] * (n // n0)
     # oracle: |<u_j|psi>|^2 from the eigenbasis columns
     pi = np.array([abs(np.vdot(obs.eigenbasis[:, j], psi.amplitudes)) ** 2
                    for j in range(3)])
-    counts = law.blocks.sum(axis=0)
+    coded = np.random.default_rng(2718).choice(3, size=n, p=pi / pi.sum())
+    folded = np.array([np.bincount(coded[k:k + n0], minlength=3)
+                       for k in range(0, n, n0)])
+    counts = folded.sum(axis=0)
     assert stats.chisquare(counts, n * pi / pi.sum()).pvalue > 1e-3
     # the batched runner: the same block layout, and counts from one law
-    batched = run_successions(g, obs, n, 0.02, 0.05, n0, 2718)
-    assert batched.blocks.shape == law.blocks.shape
-    both = np.array([counts, batched.blocks.sum(axis=0)])
-    assert stats.chi2_contingency(both).pvalue > 1e-3
-
-
-def test_complete_measurement_outcomes_follow_joint_born_law():
-    setup = np.random.default_rng(32)
-    joint = random_state(6, setup)
-    g = MultiSystem("G23", joint_state=joint, factor_dims=(2, 3))
-    obs = [random_observable("A1", 2, setup), random_observable("A2", 3, setup)]
-    gen, n = np.random.default_rng(2719), 10_000
-    flat = [np.ravel_multi_index(
-                [o.eigen_index for o in mes_complete(generate(g), obs, gen)],
-                (2, 3))
-            for _ in range(n)]
-    counts = np.bincount(flat, minlength=6)
-    # oracle: |<u_i (x) v_j|psi>|^2 at flat index 3 i + j
-    pi = np.array([abs(np.vdot(np.kron(obs[0].eigenbasis[:, i],
-                                       obs[1].eigenbasis[:, j]),
-                               joint.amplitudes)) ** 2
-                   for i in range(2) for j in range(3)])
-    assert stats.chisquare(counts, n * pi / pi.sum()).pvalue > 1e-3
-    batched, _ = run_complete_successions(g, obs, n, 0.02, 0.05, 1000, 2719)
+    batched = run_successions(Simple("G", state=psi), obs, n, 0.02, 0.05, n0, 2718)
+    assert batched.blocks.shape == folded.shape
+    assert batched.blocks.sum(axis=1).tolist() == [n0] * (n // n0)
     both = np.array([counts, batched.blocks.sum(axis=0)])
     assert stats.chi2_contingency(both).pvalue > 1e-3

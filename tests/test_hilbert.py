@@ -20,7 +20,7 @@ from qfact.hilbert import (
     random_unitary,
     transform_between,
 )
-from qfact.genesis import Specimen, mes_coding_nc
+from qfact.genesis import Simple, run_successions
 
 
 def born_law_oracle(state_amps, eigenbasis):
@@ -73,23 +73,23 @@ def test_born_law_in_unit_interval_and_normalized(seed, dim):
 
 # --- sampling ---------------------------------------------------------------
 
-def measure_once(psi, obs, rng) -> int:
-    """One coding measurement of a fresh specimen of psi: the coded index."""
-    return mes_coding_nc(Specimen(psi), obs, rng).eigen_index
+def coded_indices(psi, obs, n, seed) -> list[int]:
+    """The index each of n generate-then-measure successions of psi codes:
+    with blocks of one succession, block k holds succession k's outcome."""
+    law = run_successions(Simple("G", state=psi), obs, n, 0.02, 0.05, 1, seed)
+    return law.blocks.argmax(axis=1).tolist()
 
 
 def test_sample_eigenstate_always_its_index(rng):
     obs = random_observable("A", 3, rng)
     psi = OracleState(obs.eigenbasis[:, 2])
-    assert all(measure_once(psi, obs, np.random.default_rng(k)) == 2
-               for k in range(20))
+    assert all(coded_indices(psi, obs, 20, k) == [2] * 20 for k in range(20))
 
 
 def test_sample_balanced_within_three_sigma(std_basis_2):
     psi = OracleState(np.array([1, 1]) / np.sqrt(2))
     n = 100_000
-    gen = np.random.default_rng(2718)
-    hits = sum(measure_once(psi, std_basis_2, gen) for _ in range(n))
+    hits = sum(coded_indices(psi, std_basis_2, n, 2718))
     sigma = np.sqrt(0.25 / n)
     assert abs(hits / n - 0.5) <= 3 * sigma
 
@@ -97,10 +97,9 @@ def test_sample_balanced_within_three_sigma(std_basis_2):
 def test_sampling_deterministic_for_fixed_seed(rng):
     psi = random_state(4, rng)
     obs = random_observable("A", 4, rng)
-    g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
-    seq_a = [measure_once(psi, obs, g1) for _ in range(50)]
-    seq_b = [measure_once(psi, obs, g2) for _ in range(50)]
-    assert seq_a == seq_b
+    seq_a = coded_indices(psi, obs, 50, 5)
+    assert seq_a == coded_indices(psi, obs, 50, 5)
+    assert len(set(seq_a)) > 1
 
 
 # --- dirac transform --------------------------------------------------------

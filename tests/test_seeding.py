@@ -41,26 +41,12 @@ def test_keyed_runs_take_an_integer_seed():
             run(np.random.default_rng(1))
 
 
-def test_specimens_draw_from_their_generator():
-    # a measurement draws from the Generator it is given, without deriving a
-    # keyed stream from it
-    obs = hilbert.basis_observable("A", 2)
-    g = genesis.Simple("G", state=hilbert.OracleState(np.array([0.6, 0.8])))
-    gen = np.random.default_rng(3)
-    coded = [genesis.mes_coding_nc(genesis.generate(g), obs, gen).eigen_index
-             for _ in range(20)]
-    law = hilbert.born_law(g.state, obs)
-    again = np.random.default_rng(3)
-    assert coded == [int(again.choice(2, p=law / law.sum())) for _ in range(20)]
-
-
 def test_specimen_api_takes_only_a_generator():
     # a seed or None here would draw from an unkeyed stream of its own
-    obs = hilbert.basis_observable("A", 2)
-    g = genesis.Simple("G", state=hilbert.OracleState(np.array([0.6, 0.8])))
     calls = [
-        lambda rng: genesis.mes_complete(genesis.Specimen(g.state), [obs], rng),
         lambda rng: hilbert.random_state(2, rng),
+        lambda rng: hilbert.random_unitary(2, rng),
+        lambda rng: hilbert.random_observable("A", 2, rng),
     ]
     for call in calls:
         call(np.random.default_rng(1))
