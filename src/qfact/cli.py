@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dbb, finprob, scenario
 from .errors import QfactError, ScenarioError
-from .genesis import resolve_state, run_laws
+from .genesis import run_laws
 from .hilbert import born_law
 from .probtree import build_tree
 from .reconstruct import StateReconstructor
@@ -114,8 +114,7 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
     plan, recipe = scn.section("reconstruction"), scn.section("generation")
     names = [plan.reference, *plan.partners]
     if plan.source == "exact":
-        state = resolve_state(recipe)
-        laws = {name: born_law(state, scn.observable(name)) for name in names}
+        laws = {name: born_law(recipe.state, scn.observable(name)) for name in names}
     else:
         meas = scn.section("measurement")
         laws = run_laws(recipe, [scn.observable(name) for name in names], plan.n,

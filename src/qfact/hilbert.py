@@ -150,32 +150,31 @@ def evolve(state: OracleState, h: HamiltonianSpec, dt: float) -> OracleState:
     if dt == 0:
         return state
     energies, u = np.linalg.eigh(h.matrix)
-    phases = np.exp(-1j * energies * dt / h.hbar)
-    psi = u @ (phases * (u.conj().T @ state.amplitudes))
-    psi = psi / np.linalg.norm(psi)
+    # phases out of float range give NaNs, which OracleState refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * energies * dt / h.hbar)
+        psi = u @ (phases * (u.conj().T @ state.amplitudes))
+        psi = psi / np.linalg.norm(psi)
     return OracleState(psi)
 
 
 def compose_superposition(weights, states) -> OracleState:
-    """Normalized weighted sum of states sharing one dimension."""
-    raw = superpose_raw(weights, states)
-    norm = np.linalg.norm(raw)
-    if norm < ANNIHILATION_TOL:
-        raise DestructiveAnnihilationError(
-            "superposition weights cancel to zero norm")
-    return OracleState(raw / norm)
-
-
-def superpose_raw(weights, states) -> np.ndarray:
+    """Normalized weighted sum of unit states sharing one dimension.  Its
+    norm is at most sum |w_i|, so it cancels when it is within
+    ANNIHILATION_TOL times that bound of 0, whatever the weights' scale."""
     w = np.asarray(weights, dtype=np.complex128)
     if w.ndim != 1 or w.shape[0] != len(states):
         raise ValueError("need one weight per component state")
     if not np.any(w != 0):
         raise ValueError("at least one weight must be nonzero")
-    dims = {s.dim for s in states}
-    if len(dims) != 1:
+    if len({s.dim for s in states}) != 1:
         raise DimensionMismatchError("component states must share one dimension")
-    return sum(wi * s.amplitudes for wi, s in zip(w, states))
+    raw = sum(wi * s.amplitudes for wi, s in zip(w, states))
+    norm = np.linalg.norm(raw)
+    if norm <= ANNIHILATION_TOL * np.abs(w).sum():  # both 0 when they underflow
+        raise DestructiveAnnihilationError(
+            "superposition weights cancel to zero norm")
+    return OracleState(raw / norm)
 
 
 @dataclass(frozen=True)

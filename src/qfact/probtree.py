@@ -9,7 +9,7 @@ import numpy as np
 
 from . import finprob
 from .errors import UnlinkedObservableError
-from .genesis import GenerationOp, run_laws
+from .genesis import Simple, run_laws
 from .hilbert import ObservableSpec, TransformMatrix, commutator_norm
 from .reconstruct import law_vector, predict_heldout
 
@@ -74,7 +74,7 @@ def partition_branches(observables: list[ObservableSpec]
     return [CompatibilityGroup(tuple(o.name for o in grp)) for grp in groups]
 
 
-def build_tree(g: GenerationOp, observables: list[ObservableSpec], n: int,
+def build_tree(g: Simple, observables: list[ObservableSpec], n: int,
                eps: float, delta: float, n0: int, seed: int) -> ProbabilityTree:
     """One factual law per observable via repeated successions, grouped into
     branches of pairwise-commuting observables.

@@ -5,7 +5,8 @@ Complex numbers are [re, im] pairs; matrices are row-major nested lists.
 it checks every section present and resolves it to the value a command
 uses: ``stability`` to its law (a ``sampling`` one drawn from stream 0 of
 the effective seed), ``reconstruction`` to its ``n`` and ``RetrievalConfig``
-and ``generation`` to a recipe whose state fits its observables.
+and ``generation`` to a ``genesis.Simple`` holding the recipe's id and the
+state it prepares, checked against its observables' dimension.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ import numpy as np
 
 from . import dbb, finprob
 from .errors import DimensionMismatchError, ScenarioError
-from .genesis import Composed, Evolved, GenerationOp, Simple, resolve_state
+from .genesis import Simple
 from .hilbert import (
     HamiltonianSpec,
     ObservableSpec,
     OracleState,
     TransformMatrix,
+    compose_superposition,
+    evolve,
     transform_between,
 )
 from .reconstruct import RetrievalConfig
@@ -271,34 +274,32 @@ _RECIPE_FIELDS = {
 }
 
 
-def _recipe(doc, scn: Scenario, where: str = "generation") -> GenerationOp:
+def _prepared(doc, scn: Scenario) -> OracleState:
+    """The state a recipe prepares; a nested recipe's ``id`` is not read."""
     kind = _object(doc).get("kind")  # unknown: a KeyError naming it
     doc = _fields(doc, kind=_string, id=_string, **_RECIPE_FIELDS[kind])
-    rid = doc.get("id", where)
     if kind == "simple":
-        return Simple(rid, state=scn.section("states")[doc["state"]])
+        return scn.section("states")[doc["state"]]
     if kind == "composed":
-        comps = tuple(_recipe(c, scn, f"{where}.components[{i}]")
-                      for i, c in enumerate(doc["components"]))
-        return Composed(rid, weights=doc["weights"], components=comps)
+        return compose_superposition(
+            doc["weights"], [_prepared(c, scn) for c in doc["components"]])
     ham = scn.section("hamiltonians")[doc["hamiltonian"]]
-    return Evolved(rid, base=_recipe(doc["base"], scn, f"{where}.base"),
-                   hamiltonian=ham, dt=doc.get("dt", Evolved.dt))
+    return evolve(_prepared(doc["base"], scn), ham, doc.get("dt", 0.0))
 
 
-def _generation(doc, scn: Scenario) -> GenerationOp:
-    """The recipe, whose state has the dimension of every observable that
-    ``measurement`` and ``reconstruction`` name."""
-    recipe, meas = _recipe(doc, scn), scn.sections.get("measurement")
+def _generation(doc, scn: Scenario) -> Simple:
+    """The recipe's id and the state it prepares, which has the dimension of
+    every observable that ``measurement`` and ``reconstruction`` name."""
+    state, meas = _prepared(doc, scn), scn.sections.get("measurement")
     plan = scn.sections.get("reconstruction")
     names = [*(meas.observables if meas else ()),
              *((plan.reference, *plan.partners, *plan.heldout) if plan else ())]
-    dim = resolve_state(recipe).dim
+    dim = state.dim
     other = {o: scn.observable(o).dim for o in names if scn.observable(o).dim != dim}
     if other:
         raise DimensionMismatchError(
             f"state of dimension {dim}, observables of other dimensions: {other}")
-    return recipe
+    return Simple(doc.get("id", "generation"), state)
 
 
 def _born_check(doc, scn: Scenario) -> BornCheckPlan:

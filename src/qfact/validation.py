@@ -34,7 +34,7 @@ def check_state_vector(x, name="state") -> np.ndarray:
     if not 2 <= d <= MAX_DIM:
         raise ValueError(f"{name} dimension must be in [2, {MAX_DIM}], got {d}")
     norm = np.linalg.norm(arr)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:  # a NaN norm fails too
         raise ValueError(f"{name} must have unit norm, got {norm!r}")
     return arr
 

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qfact import cli, finprob, scenario
 from qfact.errors import QfactError, ScenarioError
-from qfact.genesis import Composed, Evolved, Simple
 
 RT2 = 1 / math.sqrt(2)
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,11 +100,10 @@ def test_scenario_recipe_kinds():
                                "base": {"kind": "simple", "state": "psi"}}]}}
     scn = scenario.load_scenario(json.dumps(doc))
     psi, ham = scn.section("states")["psi"], scn.section("hamiltonians")["H"]
-    assert scn.section("generation") == Composed(
-        "G", weights=(1, 1j), components=(
-            Simple("generation.components[0]", state=psi),
-            Evolved("generation.components[1]", hamiltonian=ham, dt=0.5,
-                    base=Simple("generation.components[1].base", state=psi))))
+    raw = psi.amplitudes + 1j * expm(-0.5j * ham.matrix) @ psi.amplitudes
+    assert scn.section("generation").id == "G"
+    assert scn.section("generation").state.amplitudes == \
+        pytest.approx(raw / np.linalg.norm(raw), abs=1e-12)
     # a kind of earlier versions, now unknown
     doc["generation"] = {"kind": "multisystem", "state": "psi", "factor_dims": [2]}
     with pytest.raises(ScenarioError, match="^generation: .*'multisystem'"):
@@ -316,6 +315,78 @@ def test_dimension_mismatch_exit_code_2(tmp_path, capsys, command, path, value):
     assert code == 2
     assert err.startswith("scenario error:")
     assert "dimension" in err
+
+
+def composed_recipe_doc(doc=None):
+    """``doc``, else the shipped tree_composed scenario, with that scenario's
+    recipe: a composed one with a simple and an evolved component."""
+    composed = json.loads((SCENARIOS / "tree_composed.json").read_text())
+    return composed if doc is None else {**doc, **{
+        key: composed[key] for key in ("hamiltonians", "generation")}}
+
+
+def reconstruct_doc():
+    return json.loads((SCENARIOS / "reconstruct_two_level.json").read_text())
+
+
+EVOLVED = ("generation", "components", 1)
+OVERFLOW = {("hamiltonians", "H", "hbar"): 1e-320, EVOLVED + ("dt",): 1.0}
+
+
+@pytest.mark.parametrize("command,doc,changes", [
+    ("tree", composed_recipe_doc, {("generation", "weights"): [[1.0, 0.0]]}),
+    ("tree", composed_recipe_doc, {EVOLVED + ("dt",): -0.5}),
+    ("tree", composed_recipe_doc, {EVOLVED + ("hamiltonian",): "nope"}),
+    ("tree", composed_recipe_doc, OVERFLOW),
+    ("reconstruct", lambda: composed_recipe_doc(reconstruct_doc()), OVERFLOW),
+], ids=["weight_count", "dt_negative", "hamiltonian_unknown",
+        "evolution_overflow_tree", "evolution_overflow_reconstruct"])
+def test_malformed_recipe_exit_code_2(tmp_path, capsys, command, doc, changes):
+    # a recipe is read into its state at load; a state that evolution pushes
+    # out of float range is refused there too
+    doc = doc()
+    for path, value in changes.items():
+        _set_path(doc, path, value)
+    code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: generation: ")
+    assert "Traceback" not in err
+
+
+def test_cancelling_recipe_exit_code_1(tmp_path, capsys):
+    doc = composed_recipe_doc()
+    doc["generation"]["components"][1] = {"kind": "simple", "state": "psi"}
+    doc["generation"]["weights"] = [[0.5, 0.0], [-0.5, 0.0]]
+    code = cli.main(["tree", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: superposition weights cancel to zero norm")
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("tree", composed_recipe_doc),
+    ("reconstruct", lambda: composed_recipe_doc(reconstruct_doc())),
+    ("reconstruct", lambda: composed_recipe_doc(sampled_reconstruction_doc())),
+], ids=["tree", "reconstruct_exact", "reconstruct_sampled"])
+def test_evolved_recipe_diagonalizes_once(tmp_path, monkeypatch, command, doc):
+    # the recipe's state is prepared once, at load, and every law of the run
+    # is drawn from it
+    doc = doc()
+    if "measurement" in doc:
+        doc["measurement"]["n"] = 20_000
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main([command, "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field,value", [
@@ -986,7 +1057,7 @@ UNSHIPPED = {"inline_law": lambda: identical_blocks_doc(3),
 
 
 @pytest.mark.parametrize("command,name", [
-    *SHIPPED_CHECKSUMS, ("stability", "inline_law"),
+    *SHIPPED_CHECKSUMS, ("tree", "tree_composed"), ("stability", "inline_law"),
     ("reconstruct", "sampled_reconstruction"), ("exp", "normal_kicks")])
 def test_scenario_mutations_exit_cleanly(tmp_path, capsys, command, name):
     base = UNSHIPPED[name]() if name in UNSHIPPED else \

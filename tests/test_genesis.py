@@ -1,40 +1,70 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, stats
 
-from qfact import finprob, genesis, hilbert
-from qfact.genesis import Composed, Evolved, Simple, resolve_state, run_laws, run_successions
-from qfact.hilbert import OracleState, born_law, compose_superposition, random_observable, random_state
+from qfact import finprob, hilbert, scenario
+from qfact.genesis import Simple, run_laws, run_successions
+from qfact.hilbert import OracleState, born_law, random_observable, random_state
 from qfact.seeding import block_table
 
 
-# --- recipes ------------------------------------------------------------------
+# --- recipes, read by the scenario loader ------------------------------------
+
+def pairs(vec):
+    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+
+
+def loaded(generation, states, hamiltonians=None):
+    """The scenario of ``states``, ``hamiltonians`` and the recipe ``generation``."""
+    doc = {"seed": 1, "generation": generation,
+           "states": {k: pairs(s.amplitudes) for k, s in states.items()}}
+    if hamiltonians:
+        doc["hamiltonians"] = {k: {"matrix": [pairs(row) for row in h.matrix],
+                                   "hbar": h.hbar} for k, h in hamiltonians.items()}
+    return scenario.load_scenario(json.dumps(doc))
+
 
 def test_generate_simple_reproduces_state(rng):
     psi = random_state(3, rng)
-    assert resolve_state(Simple("G", state=psi)) is psi
+    scn = loaded({"kind": "simple", "id": "G", "state": "psi"}, {"psi": psi})
+    g = scn.section("generation")
+    assert g.id == "G" and g.state is scn.section("states")["psi"]
+    assert np.array_equal(g.state.amplitudes, psi.amplitudes)
+    # a recipe with no id is the trunk "generation"
+    scn = loaded({"kind": "simple", "state": "psi"}, {"psi": psi})
+    assert scn.section("generation").id == "generation"
 
 
 def test_evolved_zero_dt_same_law(rng):
     psi = random_state(3, rng)
     h = hilbert.HamiltonianSpec(np.diag([1.0, 2.0, 3.0]).astype(complex))
-    g0 = Simple("G", state=psi)
-    g = Evolved("Gt", base=g0, hamiltonian=h, dt=0.0)
     obs = random_observable("A", 3, rng)
-    assert born_law(resolve_state(g), obs) == \
-        pytest.approx(born_law(psi, obs), abs=1e-12)
+    for dt in ({"dt": 0.0}, {}):  # dt defaults to 0
+        scn = loaded({"kind": "evolved", "id": "Gt", "hamiltonian": "H", **dt,
+                      "base": {"kind": "simple", "id": "G", "state": "psi"}},
+                     {"psi": psi}, {"H": h})
+        state = scn.section("generation").state
+        oracle = linalg.expm(-1j * h.matrix * 0.0 / h.hbar) @ psi.amplitudes
+        assert state.amplitudes == pytest.approx(oracle, abs=1e-12)
+        assert born_law(state, obs) == \
+            pytest.approx(born_law(psi, obs), abs=1e-12)
 
 
 def test_composed_matches_superposition(rng):
     psi1, psi2 = random_state(4, rng), random_state(4, rng)
-    w = (0.8 + 0j, 0.6j)
-    g = Composed("Gc", weights=w,
-                 components=(Simple("G1", state=psi1), Simple("G2", state=psi2)))
-    expected = compose_superposition(list(w), [psi1, psi2])
-    assert resolve_state(g).amplitudes == \
-        pytest.approx(expected.amplitudes, abs=1e-12)
+    w = np.array([0.8, 0.6j])
+    scn = loaded({"kind": "composed", "id": "Gc", "weights": pairs(w),
+                  "components": [{"kind": "simple", "id": "G1", "state": "a"},
+                                 {"kind": "simple", "id": "G2", "state": "b"}]},
+                 {"a": psi1, "b": psi2})
+    raw = w[0] * psi1.amplitudes + w[1] * psi2.amplitudes
+    assert scn.section("generation").id == "Gc"
+    assert scn.section("generation").state.amplitudes == \
+        pytest.approx(raw / np.linalg.norm(raw), abs=1e-12)
 
 
 # --- run_successions --------------------------------------------------------
@@ -117,25 +147,6 @@ def test_run_laws_draws_observable_k_from_stream_k():
     for k, o in enumerate(obs):
         assert laws[o.name] == run_successions(g, o, n, 0.02, 0.05, 500, 8,
                                                stream=k)
-
-
-def test_run_laws_resolves_the_state_once(monkeypatch):
-    # an evolved recipe diagonalizes its Hamiltonian each time it is resolved
-    setup = np.random.default_rng(43)
-    h = hilbert.HamiltonianSpec(np.diag([0.0, 1.0, 2.0]).astype(complex))
-    g = Evolved("Gt", base=Simple("G", state=random_state(3, setup)),
-                hamiltonian=h, dt=0.5)
-    obs = [random_observable(name, 3, setup) for name in "ABC"]
-    calls = []
-
-    def counted(recipe):
-        calls.append(recipe)
-        return resolve_state(recipe)
-
-    monkeypatch.setattr(genesis, "resolve_state", counted)
-    run_laws(g, obs, 1_000, 0.02, 0.05, 100, 8)
-    # the recipe, then its base from inside it: each resolved once
-    assert len(calls) == 2 and calls[0] is g and calls[1] is g.base
 
 
 # --- block_table ------------------------------------------------------------

@@ -206,6 +206,17 @@ def test_compose_complete_destructive_interference(rng):
         compose_superposition([0.5, 0.5], [psi, neg])
 
 
+def test_compose_weights_are_scale_free(rng):
+    # weights of any scale give the same state; only a cancelling sum fails
+    psi1, psi2 = random_state(3, rng), random_state(3, rng)
+    out = compose_superposition([1e-13, 0.0], [psi1, psi2])
+    assert out.amplitudes == pytest.approx(psi1.amplitudes, abs=1e-12)
+    with pytest.raises(DestructiveAnnihilationError):
+        compose_superposition([1e-13, 1e-13], [psi1, OracleState(-psi1.amplitudes)])
+    with pytest.raises(DestructiveAnnihilationError):  # its norm underflows to 0
+        compose_superposition([1e-320, 0.0], [psi1, psi2])
+
+
 def interference_expansion_oracle(weights, coeff_lists):
     """Hand expansion of |sum_i w_i c_ji|^2 into squared and cross terms."""
     dim = len(coeff_lists[0])
@@ -252,6 +263,11 @@ def test_interference_inequality_witness(std_basis_2):
 def test_state_requires_unit_norm():
     with pytest.raises(ValueError):
         OracleState(np.array([1.0, 1.0]))
+
+
+def test_state_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="unit norm"):
+        OracleState(np.array([np.nan, 0.0]))
 
 
 def test_observable_rejects_degenerate_spectrum():
