@@ -34,10 +34,10 @@ class FactualLaw:
     """Relative-frequency law stored as a block table.
 
     ``blocks`` is a read-only ``(n_blocks, n_labels)`` int64 table, one row
-    per block of trials in trial order and one column per spectrum label; a
-    block is complete when its row sums to ``block_size_n0``.  Value-like:
-    operations return new laws and never mutate their input, and two laws
-    are equal when their metadata and tables are.
+    per block of trials in trial order and one column per spectrum label;
+    every block but the last holds ``block_size_n0`` trials, the last at
+    most that.  Value-like: operations return new laws and never mutate
+    their input, and two laws are equal when their metadata and tables are.
     """
 
     spectrum: tuple[str, ...]
@@ -64,6 +64,13 @@ class FactualLaw:
         # of the limit
         if blocks.sum(dtype=np.float64) >= 2.0 ** 63:
             raise ValueError("the trial total must stay below 2**63")
+        # the verdict leaves out only a partial last block
+        sizes, n0 = blocks.sum(axis=1), self.block_size_n0
+        off = np.flatnonzero(sizes != n0)
+        if len(off) and (off[0] < len(sizes) - 1 or sizes[-1] > n0):
+            raise ValueError(f"block {off[0]} holds {sizes[off[0]]} trials; each "
+                             f"block but the last holds block_size_n0 = {n0}, "
+                             f"the last at most that")
         blocks.flags.writeable = False
         self.blocks = blocks
 
@@ -113,13 +120,8 @@ class FactualLaw:
         return cls(spectrum, table, block_size_n0, epsilon, delta)
 
     def complete_blocks(self) -> np.ndarray:
-        """Rows of the blocks that hold exactly n0 trials."""
-        return self.blocks[self.blocks.sum(axis=1) == self.block_size_n0]
-
-
-def frequencies(law: FactualLaw) -> dict[str, float]:
-    """Relative frequencies count/n_total for every spectrum label."""
-    return dict(zip(law.spectrum, frequency_vector(law).tolist()))
+        """Rows of the blocks of exactly n0 trials: all but a partial last."""
+        return self.blocks[: self.n_total // self.block_size_n0]
 
 
 def frequency_vector(law: FactualLaw) -> np.ndarray:
@@ -176,22 +178,6 @@ def to_csv(law: FactualLaw) -> str:
     return buf.getvalue()
 
 
-def from_csv(text: str) -> FactualLaw:
-    """Read a flat CSV law.  The format carries counts only, so they come
-    back as one block row, which is never complete unless it holds n0."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 3 or rows[0] != ["n_total", "block_size_n0", "epsilon", "delta"]:
-        raise ValueError("malformed law CSV header")
-    n_total, n0 = int(rows[1][0]), int(rows[1][1])
-    eps, delta = float(rows[1][2]), float(rows[1][3])
-    spectrum = [lab for lab, _ in rows[3:]]
-    counts = [int(c) for _, c in rows[3:]]
-    if sum(counts) != n_total:
-        raise ValueError("counts must sum to n_total")
-    blocks = [dict(zip(spectrum, counts))] if n_total else []
-    return FactualLaw.from_block_counts(spectrum, blocks, eps, delta, n0)
-
-
 JSON_KEYS = ("spectrum", "counts", "n_total", "block_size_n0", "epsilon", "delta",
              "block_history")
 
@@ -213,8 +199,7 @@ def from_json_dict(doc: dict) -> FactualLaw:
     """Read :func:`to_json_dict`'s layout, and no other key, with JSON's
     types: a list of string labels, numbers for epsilon and delta, and
     objects of counts; the declared ``counts`` and ``n_total`` must equal
-    the sums of the block table, and every block but the last must hold
-    exactly n0 trials, the last at most n0."""
+    the sums of the block table."""
     if unknown := [key for key in doc if key not in JSON_KEYS]:
         raise ValueError(f"unknown law key {', '.join(map(repr, unknown))}")
     spectrum, counts = doc["spectrum"], doc["counts"]
@@ -228,17 +213,7 @@ def from_json_dict(doc: dict) -> FactualLaw:
     declared = {k: check_integer(v) for k, v in counts.items()}
     if declared != law.counts or check_integer(doc["n_total"]) != law.n_total:
         raise ValueError("declared counts and n_total disagree with the block table")
-    sizes, n0 = law.blocks.sum(axis=1), law.block_size_n0
-    off = np.flatnonzero(sizes != n0)  # at most a partial last block
-    if len(off) and (off[0] < len(sizes) - 1 or sizes[-1] > n0):
-        raise ValueError(f"block_history[{off[0]}] holds {sizes[off[0]]} trials; "
-                         f"each block but the last holds block_size_n0 = {n0}, "
-                         f"the last at most that")
     return law
-
-
-def to_json(law: FactualLaw) -> str:
-    return json.dumps(to_json_dict(law), sort_keys=True, indent=2) + "\n"
 
 
 def from_json(text: str) -> FactualLaw:

@@ -162,16 +162,20 @@ def compose_superposition(weights, states) -> OracleState:
     """Normalized weighted sum of unit states sharing one dimension.  Its
     norm is at most sum |w_i|, so it cancels when it is within
     ANNIHILATION_TOL times that bound of 0, whatever the weights' scale."""
-    w = np.asarray(weights, dtype=np.complex128)
+    w = np.array(weights, dtype=np.complex128)  # a contiguous copy
     if w.ndim != 1 or w.shape[0] != len(states):
         raise ValueError("need one weight per component state")
     if not np.any(w != 0):
         raise ValueError("at least one weight must be nonzero")
     if len({s.dim for s in states}) != 1:
         raise DimensionMismatchError("component states must share one dimension")
+    # scale the largest real or imaginary part to 1, so the norm cannot
+    # overflow or underflow; the float view divides by a subnormal safely
+    parts = w.view(float)
+    w = (parts / np.abs(parts).max()).view(np.complex128)
     raw = sum(wi * s.amplitudes for wi, s in zip(w, states))
     norm = np.linalg.norm(raw)
-    if norm <= ANNIHILATION_TOL * np.abs(w).sum():  # both 0 when they underflow
+    if norm <= ANNIHILATION_TOL * np.abs(w).sum():
         raise DestructiveAnnihilationError(
             "superposition weights cancel to zero norm")
     return OracleState(raw / norm)

@@ -98,9 +98,8 @@ class Scenario:
         return self.sections["observables"][name]
 
     def transform(self, source: str, target: str) -> TransformMatrix:
-        """The declared transform, else the one between the two eigenbases."""
-        return self.sections.get("transforms", {}).get((source, target)) or \
-            transform_between(self.observable(source), self.observable(target))
+        """The transform between the two observables' eigenbases."""
+        return transform_between(self.observable(source), self.observable(target))
 
 
 # readers: each returns a checked value or raises TypeError or ValueError
@@ -182,20 +181,6 @@ def _observable_name(scn: Scenario):
 def _table(build):
     """Builder of a section of named entries, each through ``build``."""
     return lambda doc, scn: _fields(doc, **{k: partial(build, k) for k in _object(doc)})
-
-
-def _transforms(doc, scn: Scenario) -> dict:
-    out = {}
-    for e in reversed(_list_of(_object)(doc)):  # the first declared wins
-        e = _fields(e, source=_string, target=_string, entries=_complex_matrix)
-        src, tgt = e["source"], e["target"]
-        tau = scn.transform(src, tgt) if "entries" not in e else \
-            TransformMatrix(src, tgt, e["entries"])
-        if {tau.dim} != {scn.observable(src).dim, scn.observable(tgt).dim}:
-            raise ValueError(f"transform {src!r} -> {tgt!r} has dim {tau.dim}, "
-                             "unlike its observables")
-        out[src, tgt] = tau
-    return out
 
 
 def _stability(doc, scn: Scenario):
@@ -317,7 +302,6 @@ _SECTIONS = {
         doc, eigenvalues=_reals, eigenbasis=_complex_matrix))),
     "hamiltonians": _table(lambda name, doc: HamiltonianSpec(**_fields(
         doc, matrix=_complex_matrix, hbar=_real))),
-    "transforms": _transforms,
     "measurement": lambda doc, scn: MeasurementPlan(**_fields(
         doc, observables=_list_of(_observable_name(scn)), n=_positive, epsilon=_real,
         delta=_real, block_size=_integer)),

@@ -92,8 +92,9 @@ def check_in_unit_interval(x, name) -> float:
 
 
 def check_integer(x) -> int:
-    """A JSON integer, or an integral float such as 1e6, below 2**63."""
-    if isinstance(x, float) and x.is_integer():
+    """A JSON integer, an integral float such as 1e6, or a numpy integer,
+    below 2**63; never a bool."""
+    if isinstance(x, float) and x.is_integer() or isinstance(x, np.integer):
         x = int(x)
     if isinstance(x, bool) or not isinstance(x, int) or abs(x) >= 2 ** 63:
         raise TypeError(f"expected an integer below 2**63, got {x!r}")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -9,8 +11,8 @@ from scipy import stats
 
 from qfact import finprob
 from qfact.errors import EmptyLawError, InsufficientBlocksError, UnknownLabelError
-from qfact.finprob import FactualLaw, check_convergence, frequencies
-from qfact.seeding import trial_generator
+from qfact.finprob import FactualLaw, check_convergence, frequency_vector
+from qfact.seeding import block_table, trial_generator
 
 LABELS = ("a1", "a2")
 
@@ -33,17 +35,17 @@ def fold(law, indices):
 
 def test_frequencies_arithmetic():
     law = fold(fresh(), [0, 0, 0, 1])
-    assert frequencies(law) == {"a1": 0.75, "a2": 0.25}
+    assert frequency_vector(law).tolist() == [0.75, 0.25]
 
 
 def test_frequencies_delta_law():
     law = fold(fresh(), [0, 0, 0, 0, 0])
-    assert frequencies(law) == {"a1": 1.0, "a2": 0.0}
+    assert frequency_vector(law).tolist() == [1.0, 0.0]
 
 
 def test_frequencies_empty_law_errors():
     with pytest.raises(EmptyLawError):
-        frequencies(fresh())
+        frequency_vector(fresh())
 
 
 def test_frequency_sum_exact_with_shared_denominator():
@@ -130,17 +132,17 @@ def test_partial_final_block_excluded():
 # --- serialization ----------------------------------------------------------
 
 def test_csv_round_trip_counts_bit_exact():
+    # law.csv carries the metadata and the counts, each read back exactly
     law = fold(fresh(eps=0.015, delta=0.07, n0=3), [0, 1, 1, 0, 1, 1, 1])
-    back = finprob.from_csv(finprob.to_csv(law))
-    assert back.counts == law.counts
-    assert back.n_total == law.n_total
-    assert (back.epsilon, back.delta, back.block_size_n0) == \
-        (law.epsilon, law.delta, law.block_size_n0)
+    rows = list(csv.reader(io.StringIO(finprob.to_csv(law))))
+    assert rows[:3] == [["n_total", "block_size_n0", "epsilon", "delta"],
+                        ["7", "3", "0.015", "0.07"], ["label", "count"]]
+    assert {lab: int(c) for lab, c in rows[3:]} == law.counts == {"a1": 2, "a2": 5}
 
 
 def test_json_round_trip_full():
     law = fold(fresh(n0=3), [0, 1, 1, 0, 1, 1, 1])
-    back = finprob.from_json(finprob.to_json(law))
+    back = finprob.from_json(json.dumps(finprob.to_json_dict(law)))
     assert back == law
 
 
@@ -173,7 +175,16 @@ def test_law_block_size_integral_float_read_as_int():
     law = FactualLaw(LABELS, [[1, 2]], 10.0, 0.02, 0.05)
     assert type(law.block_size_n0) is int and law.block_size_n0 == 10
     assert finprob.to_csv(law).splitlines()[1].startswith("3,10,")
-    assert finprob.from_csv(finprob.to_csv(law)).block_size_n0 == 10
+
+
+def test_law_numpy_integers_are_integers():
+    # a block size computed with numpy is an integer like any other
+    law = FactualLaw(LABELS, [[1, 2]], np.int64(4), 0.02, 0.05)
+    assert type(law.block_size_n0) is int and law.block_size_n0 == 4
+    assert law == FactualLaw(LABELS, [[1, 2]], 4, 0.02, 0.05)
+    for n0 in (np.True_, True, np.uint64(2 ** 63)):
+        with pytest.raises(TypeError, match="expected an integer"):
+            FactualLaw(LABELS, [[1, 2]], n0, 0.02, 0.05)
 
 
 def test_law_total_must_stay_below_2_63():
@@ -201,17 +212,38 @@ def test_json_declared_totals_must_match_block_table():
         finprob.from_json_dict(dict(doc, epsilonn=0.5))
 
 
+def law_doc(blocks, n0):
+    """A law JSON document of the ``(n_blocks, n_labels)`` table ``blocks``
+    over the labels a0, a1, ..., written by hand, not by :func:`to_json_dict`."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    spectrum = [f"a{j}" for j in range(blocks.shape[1])]
+    return {"spectrum": spectrum,
+            "counts": dict(zip(spectrum, blocks.sum(axis=0).tolist())),
+            "n_total": int(blocks.sum()), "block_size_n0": n0,
+            "epsilon": 0.02, "delta": 0.05,
+            "block_history": [dict(zip(spectrum, row)) for row in blocks.tolist()]}
+
+
+def each_builder(blocks, n0):
+    """Build the law of ``blocks`` with every builder in turn."""
+    doc = law_doc(blocks, n0)
+    yield lambda: FactualLaw(doc["spectrum"], blocks, n0, 0.02, 0.05)
+    yield lambda: FactualLaw.from_block_counts(doc["spectrum"],
+                                               doc["block_history"], 0.02, 0.05, n0)
+    yield lambda: finprob.from_json_dict(doc)
+
+
 @pytest.mark.parametrize("history,named", [
-    ([{"a1": 2, "a2": 2}, {"a1": 1}], 0),
-    ([{"a1": 1, "a2": 1}, {"a1": 1, "a2": 2}, {"a1": 1}], 0),
-    ([{"a1": 1, "a2": 2}, {"a1": 2, "a2": 2}], 1),
+    ([[2, 2], [1, 0]], (0, 4)),
+    ([[1, 1], [1, 2], [1, 0]], (0, 2)),
+    ([[1, 2], [2, 2]], (1, 4)),
 ], ids=["block_over_n0", "partial_block_not_last", "last_block_over_n0"])
 def test_json_block_layout_enforced(history, named):
     # a block of more than n0 trials, or a partial block before the last,
     # would be left out of the verdict with all of its trials
-    law = FactualLaw.from_block_counts(LABELS, history, block_size_n0=3)
-    with pytest.raises(ValueError, match=rf"block_history\[{named}\]"):
-        finprob.from_json_dict(finprob.to_json_dict(law))
+    for build in each_builder(history, 3):
+        with pytest.raises(ValueError, match=r"block %d holds %d trials" % named):
+            build()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -256,6 +288,35 @@ def block_tables(draw):
             for k in sizes]
     table = np.reshape(rows, (n_blocks, d)).astype(np.int64)
     return FactualLaw(tuple(f"a{j}" for j in range(d)), table, n0, 0.02, 0.05)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 200), st.integers(1, 30),
+       st.integers(0, 2 ** 32), st.data())
+def test_block_layout_invariant(d, n, n0, seed, data):
+    # a drawn block table has the layout: its complete blocks are exactly the
+    # rows of n0 trials
+    table = block_table(seed, 0, np.full(d, 1 / d), n, n0)
+    law = FactualLaw(tuple(f"a{j}" for j in range(d)), table, n0, 0.02, 0.05)
+    assert np.array_equal(law.complete_blocks(),
+                          table[table.sum(axis=1) == n0])
+    assert law.n_total == n
+    # one block moved off n0 trials, before the last or past n0 in the last,
+    # is refused by every builder
+    if n == 0:
+        return
+    row = data.draw(st.integers(0, len(table) - 1))
+    bad = table.copy()
+    if row < len(table) - 1 and data.draw(st.booleans()):
+        bad[row, data.draw(st.integers(0, d - 1))] += data.draw(st.integers(1, 5))
+    elif row < len(table) - 1:
+        bad[row] = 0
+        bad[row, 0] = data.draw(st.integers(0, n0 - 1))
+    else:
+        bad[row, 0] += n0 + 1 - bad[row].sum()
+    for build in each_builder(bad, n0):
+        with pytest.raises(ValueError, match=r"block \d+ holds"):
+            build()
 
 
 @settings(max_examples=100, deadline=None)

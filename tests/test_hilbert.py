@@ -213,8 +213,15 @@ def test_compose_weights_are_scale_free(rng):
     assert out.amplitudes == pytest.approx(psi1.amplitudes, abs=1e-12)
     with pytest.raises(DestructiveAnnihilationError):
         compose_superposition([1e-13, 1e-13], [psi1, OracleState(-psi1.amplitudes)])
-    with pytest.raises(DestructiveAnnihilationError):  # its norm underflows to 0
-        compose_superposition([1e-320, 0.0], [psi1, psi2])
+    # a subnormal weight, and weights whose squares overflow
+    for w in (1e-320, 1e200):
+        out = compose_superposition([w, 0.0], [psi1, psi2])
+        assert out.amplitudes == pytest.approx(psi1.amplitudes, abs=1e-12)
+    out = compose_superposition([1e308 + 1e308j, 0.0], [psi1, psi2])
+    assert out.amplitudes == pytest.approx(
+        np.exp(1j * np.pi / 4) * psi1.amplitudes, abs=1e-12)
+    with pytest.raises(DestructiveAnnihilationError):
+        compose_superposition([1e308, 1e308], [psi1, OracleState(-psi1.amplitudes)])
 
 
 def interference_expansion_oracle(weights, coeff_lists):
