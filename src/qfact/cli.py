@@ -125,7 +125,7 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
     est.fit(laws, taus)
 
     outputs = {
-        "expansion.json": _json_text(est.expansion_.to_json_dict()),
+        "expansion.json": _json_text(_doc(est.expansion_)),
         "retrieval_report.json": _json_text(_doc(
             est.report_, omit=("alternate_phases",), tolerance=plan.retrieval.tol,
             source=plan.source)),

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from itertools import chain
 
@@ -99,8 +98,9 @@ class FactualLaw:
     def from_block_counts(cls, spectrum, blocks, epsilon=DEFAULT_EPSILON,
                           delta=DEFAULT_DELTA, block_size_n0=DEFAULT_BLOCK_SIZE
                           ) -> "FactualLaw":
-        """Build a law from a sequence of per-block dicts of int counts (not
-        bools) in trial order; a label a block leaves out counts 0 there."""
+        """Build a law from a sequence of per-block dicts of int or numpy
+        integer counts (not bools) in trial order; a label a block leaves out
+        counts 0 there."""
         spectrum = tuple(spectrum)
         col = {lab: j for j, lab in enumerate(spectrum)}
         if not set(map(type, blocks)) <= {dict}:
@@ -112,8 +112,10 @@ class FactualLaw:
             raise UnknownLabelError(
                 f"block labels {sorted(unknown)} not in spectrum {spectrum}") from None
         values = list(chain.from_iterable(map(dict.values, blocks)))
-        if not set(map(type, values)) <= {int}:
-            raise TypeError("block counts must be integers")
+        if not (types := set(map(type, values))) <= {int}:  # JSON's counts
+            if not all(t is int or issubclass(t, np.integer) for t in types):
+                raise TypeError("block counts must be integers")
+            values = list(map(int, values))
         rows = np.repeat(np.arange(len(blocks)), list(map(len, blocks)))
         table = np.zeros((len(blocks), len(spectrum)), dtype=np.int64)
         table[rows, cols] = values
@@ -214,7 +216,3 @@ def from_json_dict(doc: dict) -> FactualLaw:
     if declared != law.counts or check_integer(doc["n_total"]) != law.n_total:
         raise ValueError("declared counts and n_total disagree with the block table")
     return law
-
-
-def from_json(text: str) -> FactualLaw:
-    return from_json_dict(json.loads(text))

@@ -112,13 +112,6 @@ class ExpansionSet:
         name = self.reference_observable
         return self.amplitudes[name] * np.exp(1j * self.phases[name])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "reference_observable": self.reference_observable,
-            "amplitudes": {k: list(map(float, v)) for k, v in self.amplitudes.items()},
-            "phases": {k: list(map(float, v)) for k, v in self.phases.items()},
-        }
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExpansionSet":
         return cls(doc["reference_observable"],

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dbb, finprob
-from .errors import DimensionMismatchError, ScenarioError
+from .errors import DimensionMismatchError, ScenarioError, check_array_size
 from .genesis import Simple
 from .hilbert import (
     HamiltonianSpec,
@@ -188,7 +188,7 @@ def _stability(doc, scn: Scenario):
     if "law" in doc:
         return finprob.from_json_dict(doc["law"])
     if "law_json" in doc:
-        return finprob.from_json(Path(doc["law_json"]).read_text())
+        return finprob.from_json_dict(json.loads(Path(doc["law_json"]).read_text()))
     if "sampling" in doc:
         return _sampled_law(doc["sampling"], scn.seed)
     raise ValueError("needs 'law', 'law_json' or 'sampling'")
@@ -202,15 +202,17 @@ def _sampled_law(doc, seed: int) -> finprob.FactualLaw:
                   segments=_list_of(_record(probs=_reals, blocks=_integer)))
     labels, n0, rows = doc["labels"], doc["block_size"], []
     for probs, blocks in doc["segments"]:
+        total = sum(probs)  # overflows to inf without numpy's warning
         probs = np.array(probs, dtype=float)
         if (probs.shape != (len(labels),) or (probs < 0).any()
-                or not 0 < probs.sum() < math.inf or blocks < 0):
+                or not 0 < total < math.inf or blocks < 0):
             raise ValueError("a segment needs blocks >= 0 and one prob >= 0 "
                              "per label, with a finite positive sum")
         rows.append(probs / probs.sum())
     # one row per block: a count too large for memory ends in a MemoryError
-    rows = np.repeat(np.reshape(rows, (-1, len(labels))), np.array(
-        [blocks for _, blocks in doc["segments"]], dtype=np.int64), axis=0)
+    counts = [blocks for _, blocks in doc["segments"]]
+    check_array_size((sum(counts), len(labels)))
+    rows = np.repeat(np.reshape(rows, (-1, len(labels))), counts, axis=0)
     table = block_table(seed, 0, rows, len(rows) * n0, n0)
     return finprob.FactualLaw(labels, table, n0,
                               doc.get("epsilon", finprob.DEFAULT_EPSILON),

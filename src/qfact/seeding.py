@@ -12,37 +12,35 @@ from a Generator.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_SHIFT30 = np.uint64(30)
-_SHIFT27 = np.uint64(27)
-_SHIFT31 = np.uint64(31)
+from .errors import check_array_size
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 RESTART_STREAM = 1 << 63
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x + _GOLDEN).astype(np.uint64)
-    x ^= x >> _SHIFT30
-    x *= _MIX1
-    x ^= x >> _SHIFT27
-    x *= _MIX2
-    x ^= x >> _SHIFT31
-    return x
+def _mix64(x: int) -> int:
+    """One splitmix64 output from the state x, any integer taken modulo 2**64."""
+    x = (x + _GOLDEN) & _MASK
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    x = (x ^ x >> 27) * 0x94D049BB133111EB & _MASK
+    return x ^ x >> 31
+
+
+# keeps the keys that frozen draws were recorded with
+_SALT = _mix64(0) * _GOLDEN & _MASK
 
 
 def trial_generator(seed: int, stream: int) -> np.random.Generator:
-    """Full numpy Generator for the stream (seed, stream)."""
-    # the mix64(0) * golden term keeps the keys that frozen draws were
-    # recorded with
-    with np.errstate(over="ignore"):
-        key = _mix64(np.uint64(stream)
-                     ^ _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-                     ^ _mix64(np.uint64(0)) * _GOLDEN)
-    return np.random.default_rng(int(key))
+    """Full numpy Generator for the stream (seed, stream), two integers taken
+    modulo 2**64."""
+    key = operator.index(stream) ^ _mix64(operator.index(seed)) ^ _SALT
+    return np.random.default_rng(_mix64(key))
 
 
 def block_table(seed: int, stream: int, probs, n: int, n0: int) -> np.ndarray:
@@ -52,11 +50,12 @@ def block_table(seed: int, stream: int, probs, n: int, n0: int) -> np.ndarray:
     d probabilities, or one row per block; rows are normalized."""
     if n < 0 or n0 < 1:
         raise ValueError("need n >= 0 trials and a block size n0 >= 1")
-    sizes = np.full(-(-n // n0), n0, dtype=np.int64)
+    n_blocks, p = -(-n // n0), np.asarray(probs, dtype=float)
+    check_array_size((n_blocks, p.shape[-1]), np.int64)
+    sizes = np.full(n_blocks, n0, dtype=np.int64)
     if n % n0:
         sizes[-1] = n % n0
     # a validated state and eigenbasis give a Born law summing to 1 only
     # within about 1e-10, and multinomial rejects a sum above 1 + 1e-12
-    p = np.asarray(probs, dtype=float)
     return trial_generator(seed, stream).multinomial(
         sizes, p / p.sum(axis=-1, keepdims=True))

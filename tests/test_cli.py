@@ -182,6 +182,7 @@ SEGMENT = ("stability", "sampling", "segments", 0)
     ("stability", "stability_drift", ("stability", "sampling", "labels"),
      ["heads", "heads"]),
     ("stability", "stability_drift", SEGMENT + ("probs",), [-0.3, 1.3]),
+    ("stability", "stability_drift", SEGMENT + ("probs",), [1e308, 1e308]),
     ("exp", "trace_experiment", ("dbb", "two_wave", "theta0"), 0),
     ("exp", "trace_experiment", ("dbb", "two_wave", "m0"), 1e300),
     ("exp", "trace_experiment", ("dbb", "two_wave", "v12"), 1e-300),
@@ -217,8 +218,8 @@ SEGMENT = ("stability", "sampling", "segments", 0)
        "entries": [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]}]),
 ], ids=["kick_law", "observables", "probs", "blocks", "measurement_type",
         "n_type", "segment_type", "n_samples_type", "sampling_type",
-        "duplicate_labels", "negative_probs", "theta0_zero", "m0_overflow",
-        "v12_underflow", "m0_underflow", "flight_time_overflow",
+        "duplicate_labels", "negative_probs", "probs_sum_overflow", "theta0_zero",
+        "m0_overflow", "v12_underflow", "m0_underflow", "flight_time_overflow",
         "lambda_sep_subnormal", "kappa_overflow", "kappa_two_kick_overflow",
         "delta_phase_large",
         "seed_type", "seed_bool", "unused_section",
@@ -630,6 +631,18 @@ def three_wave_doc():
     return doc
 
 
+def unit_blocks_doc():
+    """tree_two_level with blocks of one trial: a law table of n rows."""
+    doc = json.loads((SCENARIOS / "tree_two_level.json").read_text())
+    doc["measurement"]["block_size"] = 1
+    return doc
+
+
+# documents beside the shipped ones, each with a count set below
+COUNT_DOCS = {"three_wave": three_wave_doc, "unit_blocks": unit_blocks_doc,
+              "sampled_unit_blocks": lambda: sampled_reconstruction_doc(block_size=1)}
+
+
 @pytest.mark.parametrize("command,name,path,count", [
     ("stability", "stability_drift", SEGMENT + ("blocks",), 10 ** 15),
     ("tree", "tree_two_level", ("measurement", "n"), 10 ** 15),
@@ -642,16 +655,21 @@ def three_wave_doc():
      2 ** 62),
     # 2**22 bins on each of three axes: 2**66 joint bins
     ("borncheck", "three_wave", ("dbb", "borncheck", "bins"), 2 ** 22),
+    # 2**62 blocks: a law table past the limit
+    ("tree", "unit_blocks", ("measurement", "n"), 2 ** 62),
+    ("reconstruct", "sampled_unit_blocks", ("measurement", "n"), 2 ** 62),
+    ("stability", "stability_drift", SEGMENT + ("blocks",), 2 ** 62),
 ], ids=["sampling_blocks", "measurement_n", "exp_n_trials", "borncheck_n_samples",
         "exp_n_trials_past_array_limit", "borncheck_n_samples_past_array_limit",
         "borncheck_bins_past_array_limit", "reconstruct_restarts_past_array_limit",
-        "borncheck_bins_on_three_axes"])
+        "borncheck_bins_on_three_axes", "measurement_n_past_array_limit",
+        "sampled_n_past_array_limit", "sampling_blocks_past_array_limit"])
 def test_count_too_large_for_memory_exit_code_1(tmp_path, capsys, command, name,
                                                 path, count):
     # 10**15 blocks, successions, trials or samples: the allocation is
     # refused at once; so is an array past numpy's limit on any array
     # (2**63 bytes), which numpy refuses with a ValueError
-    doc = three_wave_doc() if name == "three_wave" else \
+    doc = COUNT_DOCS[name]() if name in COUNT_DOCS else \
         json.loads((SCENARIOS / f"{name}.json").read_text())
     _set_path(doc, path, count)
     code = cli.main([command, "--scenario", write_scenario(tmp_path, doc),

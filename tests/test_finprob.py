@@ -142,7 +142,7 @@ def test_csv_round_trip_counts_bit_exact():
 
 def test_json_round_trip_full():
     law = fold(fresh(n0=3), [0, 1, 1, 0, 1, 1, 1])
-    back = finprob.from_json(json.dumps(finprob.to_json_dict(law)))
+    back = finprob.from_json_dict(json.loads(json.dumps(finprob.to_json_dict(law))))
     assert back == law
 
 
@@ -185,6 +185,20 @@ def test_law_numpy_integers_are_integers():
     for n0 in (np.True_, True, np.uint64(2 ** 63)):
         with pytest.raises(TypeError, match="expected an integer"):
             FactualLaw(LABELS, [[1, 2]], n0, 0.02, 0.05)
+    # so are counts computed with numpy; a numpy bool is not, nor is a float
+    law = FactualLaw.from_block_counts(
+        ("a", "b"), [{"a": np.int64(3), "b": 1}], block_size_n0=4)
+    assert law == FactualLaw.from_block_counts(("a", "b"), [{"a": 3, "b": 1}],
+                                               block_size_n0=4)
+    # exact past float64's 53 bits, with unsigned and signed counts mixed
+    big = FactualLaw.from_block_counts(
+        ("a", "b"), [{"a": np.uint64(2 ** 62 + 1), "b": np.int64(2 ** 61)}],
+        block_size_n0=2 ** 62 + 1 + 2 ** 61)
+    assert big.counts == {"a": 2 ** 62 + 1, "b": 2 ** 61}
+    for count in (np.True_, True, np.float64(3.0), 3.0):
+        with pytest.raises(TypeError, match="block counts must be integers"):
+            FactualLaw.from_block_counts(("a", "b"), [{"a": count, "b": 1}],
+                                         block_size_n0=4)
 
 
 def test_law_total_must_stay_below_2_63():

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfact import finprob, hilbert, reconstruct
+from qfact import cli, finprob, hilbert, reconstruct
 from qfact.errors import InconsistentLawsError, UnlinkedObservableError
 from qfact.hilbert import OracleState, basis_observable, born_law, random_observable, random_state, transform_between
 from qfact.reconstruct import (
@@ -443,7 +445,9 @@ def test_expansion_json_round_trip(rng):
     phases, _ = retrieve_phases(laws["A"],
                                 {o.name: laws[o.name] for o in partners}, taus)
     exp = assemble_equivalent(laws, phases, taus, "A")
-    back = reconstruct.ExpansionSet.from_json_dict(exp.to_json_dict())
+    # expansion.json as the reconstruct command writes it
+    text = cli._json_text(cli._doc(exp))
+    back = reconstruct.ExpansionSet.from_json_dict(json.loads(text))
     for name in exp.amplitudes:
         assert back.amplitudes[name] == pytest.approx(exp.amplitudes[name])
         assert back.phases[name] == pytest.approx(exp.phases[name])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfact import dbb, genesis, hilbert, probtree, reconstruct
-from qfact.seeding import trial_generator
+from qfact.seeding import RESTART_STREAM, trial_generator
 
 
 @pytest.mark.parametrize("seed,stream,first", [
@@ -10,9 +10,14 @@ from qfact.seeding import trial_generator
     (7, 1, 5908212101824444063),
     (8088, 2_000_000, 3250149145557621144),
     (2 ** 63 - 1, 3, 4157504304936442696),
+    (2 ** 64 - 1, 0, 3741480399089047658),
+    (7, RESTART_STREAM, 7690752803876495326),
+    # a numpy integer seed draws as the equal int
+    (np.int64(8088), 2_000_000, 3250149145557621144),
 ])
 def test_trial_generator_keys_are_pinned(seed, stream, first):
-    # frozen draws in the acceptance criteria are keyed on these streams
+    # frozen draws in the acceptance criteria and the restart starts of
+    # phase retrieval are keyed on these streams; a seed is taken mod 2**64
     assert int(trial_generator(seed, stream).integers(2 ** 63)) == first
 
 
