@@ -119,10 +119,8 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
         meas = scn.section("measurement")
         laws = run_laws(recipe, [scn.observable(name) for name in names], plan.n,
                         meas.epsilon, meas.delta, meas.block_size, scn.seed)
-    taus = [scn.transform(plan.reference, name)
-            for name in [*plan.partners, *plan.heldout]]
     est = StateReconstructor(plan.reference, **dataclasses.asdict(plan.retrieval))
-    est.fit(laws, taus)
+    est.fit(laws, plan.transforms.values())
 
     outputs = {
         "expansion.json": _json_text(_doc(est.expansion_)),
@@ -130,9 +128,9 @@ def cmd_reconstruct(scn: scenario.Scenario) -> dict[str, str]:
             est.report_, omit=("alternate_phases",), tolerance=plan.retrieval.tol,
             source=plan.source)),
     }
-    for name, tau in zip(plan.heldout, taus[len(plan.partners):]):
-        outputs[f"predicted_{name}.json"] = _json_text(
-            dict(zip(scn.observable(name).labels(), est.predict(tau))))
+    for name in plan.heldout:
+        outputs[f"predicted_{name}.json"] = _json_text(dict(zip(
+            scn.observable(name).labels(), est.predict(plan.transforms[name]))))
     return outputs
 
 
@@ -187,6 +185,7 @@ def run_command(command: str, scenario_path: str, seed: int | None = None,
     manifest = {
         "command": command,
         "scenario_hash": hashlib.sha256(source).hexdigest(),
+        "inputs": scn.inputs,
         "seed": scn.seed,
         "outputs": checksums,
         "wall_clock_s": time.perf_counter() - started,

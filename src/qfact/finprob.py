@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -35,7 +35,8 @@ class FactualLaw:
     ``blocks`` is a read-only ``(n_blocks, n_labels)`` int64 table, one row
     per block of trials in trial order and one column per spectrum label;
     every block but the last holds ``block_size_n0`` trials, the last at
-    most that.  Value-like: operations return new laws and never mutate
+    most that.  ``n_total`` is the exact trial total, kept at construction
+    and below 2**63.  Value-like: operations return new laws and never mutate
     their input, and two laws are equal when their metadata and tables are.
     """
 
@@ -44,6 +45,7 @@ class FactualLaw:
     block_size_n0: int
     epsilon: float
     delta: float
+    n_total: int = field(init=False)
 
     def __post_init__(self):
         self.spectrum = tuple(self.spectrum)
@@ -59,17 +61,20 @@ class FactualLaw:
             raise ValueError("blocks must be an (n_blocks, n_labels) table")
         if (blocks < 0).any():
             raise ValueError("counts must be non-negative")
-        # a float64 sum cannot overflow; it misjudges only totals within 2**11
-        # of the limit
-        if blocks.sum(dtype=np.float64) >= 2.0 ** 63:
+        sizes, n0 = blocks.sum(axis=1), self.block_size_n0
+        total = sizes.sum()
+        # int64 sums wrap modulo 2**64, so the total falls short of its
+        # float64 sum by a multiple of 2**64 exactly when it reaches 2**63;
+        # rounding moves the float64 sum by far less
+        if blocks.sum(dtype=np.float64) - total > 2.0 ** 62:
             raise ValueError("the trial total must stay below 2**63")
         # the verdict leaves out only a partial last block
-        sizes, n0 = blocks.sum(axis=1), self.block_size_n0
         off = np.flatnonzero(sizes != n0)
         if len(off) and (off[0] < len(sizes) - 1 or sizes[-1] > n0):
             raise ValueError(f"block {off[0]} holds {sizes[off[0]]} trials; each "
                              f"block but the last holds block_size_n0 = {n0}, "
                              f"the last at most that")
+        self.n_total = int(total)
         blocks.flags.writeable = False
         self.blocks = blocks
 
@@ -80,10 +85,6 @@ class FactualLaw:
                 == (other.spectrum, other.block_size_n0, other.epsilon,
                     other.delta)
                 and np.array_equal(self.blocks, other.blocks))
-
-    @property
-    def n_total(self) -> int:
-        return int(self.blocks.sum())
 
     @property
     def counts(self) -> dict[str, int]:
@@ -127,11 +128,9 @@ class FactualLaw:
 
 
 def frequency_vector(law: FactualLaw) -> np.ndarray:
-    totals = law.blocks.sum(axis=0)
-    n_total = int(totals.sum())
-    if n_total == 0:
+    if law.n_total == 0:
         raise EmptyLawError("cannot compute frequencies of an empty law")
-    return totals / n_total
+    return law.blocks.sum(axis=0) / law.n_total
 
 
 @dataclass

@@ -85,8 +85,8 @@ class TransformMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries",
-                           check_unitary(self.entries, name="transform"))
+        object.__setattr__(self, "entries", check_unitary(
+            self.entries, name=f"transform {self.source} -> {self.target}"))
         self.entries.setflags(write=False)
 
     @property

@@ -4,13 +4,15 @@ Complex numbers are [re, im] pairs; matrices are row-major nested lists.
 ``load_scenario`` is the only reader of the document: whatever the command,
 it checks every section present and resolves it to the value a command
 uses: ``stability`` to its law (a ``sampling`` one drawn from stream 0 of
-the effective seed), ``reconstruction`` to its ``n`` and ``RetrievalConfig``
-and ``generation`` to a ``genesis.Simple`` holding the recipe's id and the
-state it prepares, checked against its observables' dimension.
+the effective seed), ``reconstruction`` to its ``n``, ``RetrievalConfig``
+and the transforms from its reference, and ``generation`` to a
+``genesis.Simple`` holding the recipe's id and the state it prepares,
+checked against its observables' dimension.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -55,7 +57,8 @@ class MeasurementPlan:
 @dataclass(frozen=True)
 class ReconstructionPlan:
     """``n``: successions per law, for sampled laws only; ``retrieval``: the
-    fit's settings, seeded with the scenario seed."""
+    fit's settings, seeded with the scenario seed; ``transforms``: tau from
+    the reference to each partner and held-out observable, by target."""
 
     reference: str
     partners: tuple[str, ...]
@@ -63,6 +66,7 @@ class ReconstructionPlan:
     heldout: tuple[str, ...] = ()
     source: str = "exact"
     n: int | None = None
+    transforms: dict[str, TransformMatrix] = field(default_factory=dict)
 
     def __post_init__(self):
         fit, held = (self.reference, *self.partners), self.heldout
@@ -81,11 +85,13 @@ class BornCheckPlan:
 
 @dataclass
 class Scenario:
-    """Seed, output directory and the config of each section present."""
+    """Seed, output directory, the config of each section present and the
+    SHA-256 of each file the sections read, by path."""
 
     seed: int
     output_dir: str = "out"
     sections: dict[str, object] = field(default_factory=dict)
+    inputs: dict[str, str] = field(default_factory=dict)
 
     def section(self, name: str):  # "dbb.exp" is "exp" inside "dbb"
         if name not in self.sections:
@@ -96,10 +102,6 @@ class Scenario:
         if name not in self.sections.get("observables", {}):
             raise ScenarioError(f"unknown observable {name!r}")
         return self.sections["observables"][name]
-
-    def transform(self, source: str, target: str) -> TransformMatrix:
-        """The transform between the two observables' eigenbases."""
-        return transform_between(self.observable(source), self.observable(target))
 
 
 # readers: each returns a checked value or raises TypeError or ValueError
@@ -188,7 +190,9 @@ def _stability(doc, scn: Scenario):
     if "law" in doc:
         return finprob.from_json_dict(doc["law"])
     if "law_json" in doc:
-        return finprob.from_json_dict(json.loads(Path(doc["law_json"]).read_text()))
+        data = Path(doc["law_json"]).read_bytes()
+        scn.inputs[doc["law_json"]] = hashlib.sha256(data).hexdigest()
+        return finprob.from_json_dict(json.loads(data.decode("utf-8")))
     if "sampling" in doc:
         return _sampled_law(doc["sampling"], scn.seed)
     raise ValueError("needs 'law', 'law_json' or 'sampling'")
@@ -227,6 +231,8 @@ def _reconstruction(doc, scn: Scenario) -> ReconstructionPlan:
     dims = {o: scn.observable(o).dim for o in names}
     if len(set(dims.values())) > 1:
         raise DimensionMismatchError(f"observables of different dimensions: {dims}")
+    ref = scn.observable(names[0])
+    doc["transforms"] = {o: transform_between(ref, scn.observable(o)) for o in names[1:]}
     settings = {key: doc.pop(key) for key in ("restarts", "tol") if key in doc}
     if doc.get("source") != "sampled":
         doc.pop("n", None)  # for sampled laws only

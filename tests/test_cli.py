@@ -597,6 +597,28 @@ def test_sampled_law_total_too_large_exit_code_2(tmp_path, capsys):
                           "stay below 2**63")
 
 
+def largest_total_doc(command):
+    """A ``command`` scenario whose laws each hold 2**63 - 1 trials in two
+    blocks, the largest total a law can keep."""
+    doc = (dict(TWO_LEVEL, seed=1, measurement={"observables": ["A", "B", "C"]})
+           if command == "tree" else sampled_reconstruction_doc())
+    doc["measurement"].update(n=2 ** 63 - 1, block_size=2 ** 62)
+    return doc
+
+
+@pytest.mark.parametrize("command", ["tree", "reconstruct"])
+def test_law_total_2_63_minus_1_runs(tmp_path, capsys, command):
+    # the law total is exact: a float64 sum of the table rounds it to 2**63
+    out = tmp_path / "out"
+    code = cli.main([command, "--scenario",
+                     write_scenario(tmp_path, largest_total_doc(command)),
+                     "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    if command == "tree":
+        rows = list(csv.reader((out / "law_A.csv").read_text().splitlines()))
+        assert rows[1][0] == str(2 ** 63 - 1)
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
 def test_output_path_through_a_file_exit_code_1(tmp_path, capsys, sub):
     taken = tmp_path / "taken"
@@ -719,6 +741,39 @@ def test_reconstruct_sampled_pipeline(tmp_path):
     predicted = json.loads((tmp_path / "out" / "predicted_C.json").read_text())
     # oracle law of C for the state (1, i)/sqrt(2): balanced
     assert predicted["C:0"] == pytest.approx(0.5, abs=0.02)
+
+
+def near_unitary_pair_doc():
+    """Two eigenbases within the unitarity tolerance whose transform is not:
+    A = D = diag(1 + 4.7e-11, 1, 1) (defect 9.4e-11) and B = D U for the
+    unitary 3-point DFT U (defect 3.1e-11); tau(A -> B) = U^H D^2 has a
+    defect of 1.9e-10."""
+    d = np.diag([1 + 4.7e-11, 1.0, 1.0])
+    u = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
+
+    def basis(m):
+        return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+    return {"seed": 1, "states": {"psi": [[0.6, 0.0], [0.8, 0.0], [0.0, 0.0]]},
+            "observables": {"A": {"eigenvalues": [0, 1, 2], "eigenbasis": basis(d)},
+                            "B": {"eigenvalues": [0, 1, 2],
+                                  "eigenbasis": basis(d @ u)}},
+            "generation": {"kind": "simple", "state": "psi"},
+            "reconstruction": {"reference": "A", "partners": ["B"]}}
+
+
+def test_non_unitary_transform_exit_code_2_at_load(tmp_path, capsys):
+    doc = near_unitary_pair_doc()
+    with pytest.raises(ScenarioError, match="^reconstruction: transform A -> B "
+                                            "is not unitary"):
+        scenario.load_scenario(json.dumps(doc))
+    code = cli.main(["reconstruct", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("scenario error: reconstruction: transform A -> B is "
+                          "not unitary within 1e-10")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("source,fields,tolerance", [
@@ -955,6 +1010,27 @@ def test_manifest_checksums_match_files(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest
     assert manifest["scenario_hash"] == hashlib.sha256(
         (tmp_path / "scenario.json").read_bytes()).hexdigest()
+    assert manifest["inputs"] == {}
+
+
+def test_manifest_names_each_file_read(tmp_path):
+    # the same scenario bytes over two law files: only the inputs tell the
+    # runs apart
+    law_path = tmp_path / "law.json"
+    path = write_scenario(tmp_path, {"seed": 1, "stability": {"law_json": str(law_path)}})
+    manifests = []
+    for counts in ({"a1": 6, "a2": 4}, {"a1": 9, "a2": 1}):
+        law = finprob.FactualLaw.from_block_counts(("a1", "a2"), [counts] * 3,
+                                                   block_size_n0=10)
+        law_path.write_text(json.dumps(finprob.to_json_dict(law)))
+        out = tmp_path / f"out{len(manifests)}"
+        assert cli.main(["stability", "--scenario", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            str(law_path): hashlib.sha256(law_path.read_bytes()).hexdigest()}
+        manifests.append(manifest)
+    assert manifests[0]["scenario_hash"] == manifests[1]["scenario_hash"]
+    assert manifests[0]["inputs"] != manifests[1]["inputs"]
 
 
 def test_rerun_reproduces_checksums(tmp_path):

@@ -209,6 +209,22 @@ def test_law_total_must_stay_below_2_63():
     assert law.n_total == 2 ** 62 + 2 ** 61 + 2 ** 60
 
 
+def test_law_total_exact_up_to_2_63_minus_1():
+    # a float64 sum rounds both totals up to 2**63
+    law = FactualLaw(LABELS, [[2 ** 62, 0], [2 ** 62 - 1, 0]], 2 ** 62, 0.02, 0.05)
+    assert law.n_total == 2 ** 63 - 1
+    law = FactualLaw(LABELS, [[2 ** 63 - 2, 1]], 2 ** 63 - 1, 0.02, 0.05)
+    assert law.n_total == 2 ** 63 - 1
+    assert len(law.complete_blocks()) == 1
+
+
+def test_wrapping_block_sum_refused():
+    # the block's int64 sum wraps to exactly n0 = 2**62
+    with pytest.raises(ValueError, match="the trial total must stay below 2\\*\\*63"):
+        FactualLaw(("a", "b", "c"), [[2 ** 63 - 1, 2 ** 63 - 1, 2 ** 62 + 2]],
+                   2 ** 62, 0.02, 0.05)
+
+
 def test_json_declared_totals_must_match_block_table():
     doc = finprob.to_json_dict(fold(fresh(n0=3), [0, 1, 1, 0, 1]))
     bad_counts = dict(doc, counts={"a1": 3, "a2": 2})
