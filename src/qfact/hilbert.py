@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DestructiveAnnihilationError, DimensionMismatchError
 from .validation import (
+    COMPATIBLE_TOL,
     check_hermitian,
     check_rng,
     check_state_vector,
@@ -63,11 +64,6 @@ class ObservableSpec:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        """Dense operator U diag(a) U^dagger."""
-        u = self.eigenbasis
-        return (u * self.eigenvalues) @ u.conj().T
-
     def label(self, j: int) -> str:
         return f"{self.name}:{j}"
 
@@ -97,7 +93,8 @@ class TransformMatrix:
 def transform_between(a: ObservableSpec, b: ObservableSpec) -> TransformMatrix:
     """tau(a -> b) with entries <v_k|u_j> for the two eigenbases."""
     if a.dim != b.dim:
-        raise DimensionMismatchError("observables have different dimensions")
+        raise DimensionMismatchError(f"observables {a.name} of dimension {a.dim} "
+                                     f"and {b.name} of dimension {b.dim}")
     return TransformMatrix(a.name, b.name, b.eigenbasis.conj().T @ a.eigenbasis)
 
 
@@ -206,10 +203,11 @@ def cross_term_expansion(weights, states, obs: ObservableSpec) -> CrossTermExpan
     return CrossTermExpansion(diagonal=diagonal, cross=cross, total=total)
 
 
-def commutator_norm(a: ObservableSpec, b: ObservableSpec) -> float:
-    """Frobenius norm of [A, B] on the oracle matrices."""
-    ma, mb = a.matrix(), b.matrix()
-    return float(np.linalg.norm(ma @ mb - mb @ ma))
+def compatible(a: ObservableSpec, b: ObservableSpec) -> bool:
+    """Whether every |<v_k|u_j>| is within COMPATIBLE_TOL of 0 or 1: a and b
+    share their eigenvectors, so [A, B] = 0.  No eigenvalue is read."""
+    overlap = np.abs(b.eigenbasis.conj().T @ a.eigenbasis)
+    return bool(np.all(np.minimum(overlap, np.abs(overlap - 1)) <= COMPATIBLE_TOL))
 
 
 # --- construction helpers --------------------------------------------------

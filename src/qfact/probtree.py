@@ -10,10 +10,9 @@ import numpy as np
 from . import finprob
 from .errors import UnlinkedObservableError
 from .genesis import Simple, run_laws
-from .hilbert import ObservableSpec, TransformMatrix, commutator_norm
+from .hilbert import ObservableSpec, TransformMatrix, compatible
 from .reconstruct import law_vector, predict_heldout
 
-COMMUTE_TOL = 1e-10
 CONSISTENCY_TOL = 0.01  # largest max-abs deviation of a consistent prediction
 
 
@@ -59,14 +58,14 @@ class ProbabilityTree:
 
 def partition_branches(observables: list[ObservableSpec]
                        ) -> list[CompatibilityGroup]:
-    """Greedy first-fit partition into maximal pairwise-commuting groups,
+    """Greedy first-fit partition into maximal pairwise-compatible groups,
     processed in input order."""
     if not observables:
         raise ValueError("need at least one observable")
     groups: list[list[ObservableSpec]] = []
     for obs in observables:
         for grp in groups:
-            if all(commutator_norm(obs, other) < COMMUTE_TOL for other in grp):
+            if all(compatible(obs, other) for other in grp):
                 grp.append(obs)
                 break
         else:

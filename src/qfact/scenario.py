@@ -212,7 +212,7 @@ def _sampled_law(doc, seed: int) -> finprob.FactualLaw:
                 or not 0 < total < math.inf or blocks < 0):
             raise ValueError("a segment needs blocks >= 0 and one prob >= 0 "
                              "per label, with a finite positive sum")
-        rows.append(probs / probs.sum())
+        rows.append(probs)  # block_table normalizes each row
     # one row per block: a count too large for memory ends in a MemoryError
     counts = [blocks for _, blocks in doc["segments"]]
     check_array_size((sum(counts), len(labels)))
@@ -227,12 +227,9 @@ def _reconstruction(doc, scn: Scenario) -> ReconstructionPlan:
     name = _observable_name(scn)
     doc = _fields(doc, reference=name, partners=_list_of(name), heldout=_list_of(name),
                   source=_string, restarts=_integer, tol=_real, n=_positive)
-    names = (doc["reference"], *doc["partners"], *doc.get("heldout", ()))
-    dims = {o: scn.observable(o).dim for o in names}
-    if len(set(dims.values())) > 1:
-        raise DimensionMismatchError(f"observables of different dimensions: {dims}")
-    ref = scn.observable(names[0])
-    doc["transforms"] = {o: transform_between(ref, scn.observable(o)) for o in names[1:]}
+    ref = scn.observable(doc["reference"])
+    doc["transforms"] = {o: transform_between(ref, scn.observable(o))
+                         for o in (*doc["partners"], *doc.get("heldout", ()))}
     settings = {key: doc.pop(key) for key in ("restarts", "tol") if key in doc}
     if doc.get("source") != "sampled":
         doc.pop("n", None)  # for sampled laws only
@@ -241,7 +238,7 @@ def _reconstruction(doc, scn: Scenario) -> ReconstructionPlan:
     # sampled laws are drawn as measurement says, so it is required
     n = doc.setdefault("n", scn.section("measurement").n)
     retrieval = RetrievalConfig.for_sampled_laws(
-        n, sum(dims[p] for p in doc["partners"]), seed=scn.seed, **settings)
+        n, len(doc["partners"]) * ref.dim, seed=scn.seed, **settings)
     return ReconstructionPlan(**doc, retrieval=retrieval)
 
 

@@ -16,6 +16,11 @@ from .errors import DimensionMismatchError
 MAX_DIM = 16
 
 UNITARY_TOL = 1e-10
+# Eigenbases that pass check_unitary (|U^H U - I| <= UNITARY_TOL = t
+# entrywise, so ||U^H U - I||_2 <= d t) lie within d t / 2 of unitaries, to
+# first order; when those share their eigenvectors, the overlaps |<v_k|u_j>|
+# lie within d t of 0 or 1.  Doubled at MAX_DIM for higher orders and rounding
+COMPATIBLE_TOL = 2 * MAX_DIM * UNITARY_TOL
 HERMITIAN_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 

@@ -538,6 +538,25 @@ def test_tree_two_branches(tmp_path):
     assert len(tree["branches"]) == 2
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e200])
+def test_tree_branches_free_of_eigenvalue_scale(tmp_path, scale):
+    # the shipped tree with every eigenvalue scaled: B and C share an
+    # eigenbasis and A does not, in any units.  Run as a user runs it, with
+    # warnings as errors
+    doc = json.loads((SCENARIOS / "tree_two_level.json").read_text())
+    for obs in doc["observables"].values():
+        obs["eigenvalues"] = [scale * v for v in obs["eigenvalues"]]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qfact.cli", "tree", "--scenario",
+         write_scenario(tmp_path, doc), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    tree = json.loads((out / "tree.json").read_text())
+    assert [b["members"] for b in tree["branches"]] == [["A"], ["B", "C"]]
+
+
 def test_tree_byte_identical_across_worker_counts(tmp_path):
     doc = dict(TWO_LEVEL, seed=12,
                measurement={"observables": ["A", "B"], "n": 30_000,
@@ -1091,6 +1110,16 @@ def test_shipped_scenario_bytes_pinned(tmp_path, command, name):
                      "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == SHIPPED_CHECKSUMS[(command, name)]
+
+
+def test_spin_half_tree_bytes_are_tree_two_level_pins(tmp_path):
+    # tree_two_level with eigenvalues -hbar/2, hbar/2 in J s: no eigenvalue
+    # reaches an artifact
+    out = tmp_path / "out"
+    assert cli.main(["tree", "--scenario", str(SCENARIOS / "tree_spin_half.json"),
+                     "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == SHIPPED_CHECKSUMS[("tree", "tree_two_level")]
 
 
 def normal_kicks_doc():

@@ -116,6 +116,12 @@ def test_dirac_transform_balanced_mixing(std_basis_2, mixing_basis_2):
     assert np.abs(d) == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2)], abs=1e-12)
 
 
+def test_transform_dimension_mismatch_names_both(std_basis_2):
+    with pytest.raises(DimensionMismatchError,
+                       match="^observables A of dimension 2 and D of dimension 3$"):
+        transform_between(std_basis_2, hilbert.basis_observable("D", 3))
+
+
 def test_dirac_transform_preserves_norm(rng):
     for _ in range(20):
         dim = int(rng.integers(2, 9))
@@ -184,7 +190,8 @@ def test_evolve_commuting_observable_conserved(rng):
     obs = random_observable("A", 3, rng)
     energies = np.array([1.0, 2.0, 5.0])
     h = HamiltonianSpec((obs.eigenbasis * energies) @ obs.eigenbasis.conj().T)
-    comm = h.matrix @ obs.matrix() - obs.matrix() @ h.matrix
+    a = (obs.eigenbasis * obs.eigenvalues) @ obs.eigenbasis.conj().T
+    comm = h.matrix @ a - a @ h.matrix
     assert np.linalg.norm(comm) < 1e-10
     psi = random_state(3, rng)
     assert born_law(evolve(psi, h, 2.2), obs) == \

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfact import finprob, hilbert, probtree, reconstruct
 from qfact.errors import UnlinkedObservableError
 from qfact.genesis import Simple, run_laws
-from qfact.hilbert import ObservableSpec, OracleState, basis_observable, born_law, random_observable, random_state, transform_between
+from qfact.hilbert import ObservableSpec, OracleState, basis_observable, born_law, random_observable, random_state, random_unitary, transform_between
 from qfact.probtree import build_tree, meta_correlation, partition_branches
+from qfact.validation import UNITARY_TOL
+
+
+def operator(obs):
+    """Dense operator U diag(a) U^dagger."""
+    return (obs.eigenbasis * obs.eigenvalues) @ obs.eigenbasis.conj().T
 
 
 def commutator_oracle(a, b):
     """Independent commutator: explicit dense products."""
-    ma, mb = a.matrix(), b.matrix()
+    ma, mb = operator(a), operator(b)
     return np.max(np.abs(ma @ mb - mb @ ma))
 
 
@@ -47,6 +55,66 @@ def test_three_observables_ab_commute_c_alone(abc_observables):
     assert commutator_oracle(b, c) > 1e-3
     groups = partition_branches([a, b, c])
     assert [set(g.members) for g in groups] == [{"A", "B"}, {"C"}]
+
+
+def members(observables):
+    return [g.members for g in partition_branches(observables)]
+
+
+def regauged(u, rng):
+    """The eigenbasis u with its columns permuted and re-phased."""
+    d = u.shape[1]
+    return u[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8),
+       st.lists(st.tuples(st.integers(0, 2), st.floats(1e-12, 1e200),
+                          st.floats(-1e6, 1e6)), min_size=1, max_size=6))
+def test_partition_free_of_eigenvalue_scale_and_basis_gauge(seed, dim, specs):
+    # observable k takes shared basis 0 or 1, re-gauged, or (key 2) its own
+    # Haar basis, and eigenvalues scale * (0, 1, .., d-1) + scale * shift,
+    # strictly increasing in floats: branches group exactly the observables
+    # of one shared basis, in first-fit order, whatever the scale and gauge
+    rng = np.random.default_rng(seed)
+    shared = [random_unitary(dim, rng) for _ in range(2)]
+    bases = [regauged(shared[key], rng) if key < 2 else random_unitary(dim, rng)
+             for key, _, _ in specs]
+    names = [f"O{k}" for k in range(len(specs))]
+    groups = {}
+    for name, (key, _, _) in zip(names, specs):
+        groups.setdefault(key if key < 2 else name, []).append(name)
+    expected = [tuple(grp) for grp in groups.values()]
+    unit = [ObservableSpec(name, np.arange(dim, dtype=float), u)
+            for name, u in zip(names, bases)]
+    scaled = [ObservableSpec(o.name, scale * (o.eigenvalues + shift), o.eigenbasis)
+              for o, (_, scale, shift) in zip(unit, specs)]
+    gauged = [ObservableSpec(o.name, o.eigenvalues, regauged(o.eigenbasis, rng))
+              for o in unit]
+    assert members(unit) == members(scaled) == members(gauged) == expected
+
+
+def perturbed(u, rng):
+    """u times I + e S for a random Hermitian S, with e so that the product
+    stays unitary within UNITARY_TOL (a defect of 50-95 % of it)."""
+    d = u.shape[0]
+    s = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    s = s + s.conj().T
+    e = rng.uniform(0.5, 0.95) * UNITARY_TOL / (2 * np.abs(s).max())
+    return u @ (np.eye(d) + e * s)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8, 16])
+def test_perturbed_shared_eigenbasis_one_group(dim):
+    # two eigenbases each within UNITARY_TOL of one basis, up to order and
+    # phases, with unit-spaced eigenvalues: one branch every time
+    rng = np.random.default_rng(dim)
+    for _ in range(300):
+        u = random_unitary(dim, rng)
+        a = ObservableSpec("A", np.arange(dim, dtype=float), perturbed(u, rng))
+        b = ObservableSpec("B", np.arange(dim, dtype=float),
+                           perturbed(regauged(u, rng), rng))
+        assert members([a, b]) == [("A", "B")]
 
 
 # --- build_tree -------------------------------------------------------------
