@@ -65,24 +65,28 @@ class TwoWaveState:
     speed V whose directions make angles +-theta0 with Oz, with relative
     phase delta_phase.  The amplitude is sqrt(2) cos(chi z + delta/2) with
     chi = 2 pi (nu/V) cos(theta0); the corpuscle is guided along Ox at the
-    constant speed (c^2/V) sin(theta0).  c and h take their SI values."""
+    constant speed (c^2/V) sin(theta0).  c and h take their SI values.
 
-    nu: float            # wave frequency, 1/s
-    V: float             # phase speed, m/s
+    The state holds its four inputs; M, nu and V follow from the corpuscle
+    speed v12 common to both branches: M is the relativistic mass gamma m0,
+    nu = M c^2 / h and V = c^2 / v12."""
+
+    v12: float           # corpuscle speed common to both branches, m/s
     theta0: float        # half-angle between the branches and Oz, rad
     delta_phase: float   # relative phase of the two branches, rad
     m0: float            # rest mass, kg
-    M: float             # quantum mass, kg
     c: ClassVar[float] = 299_792_458.0
     h: ClassVar[float] = 6.626_070_15e-34
 
     def __post_init__(self):
+        if not 0 < self.v12 < self.c:
+            raise ValueError("corpuscle speed must lie in (0, c)")
         if min(self.nu, self.V, self.m0, self.M) <= 0:
             raise ValueError("nu, V, m0, M must all be positive")
         if self.chi <= 0:
             raise ValueError("chi = 2 pi (nu/V) cos(theta0) must be positive")
         try:  # extreme parameters overflow or underflow what a run derives
-            derived = (self.guided_speed, self.fringe_period,
+            derived = (self.nu, self.V, self.M, self.guided_speed, self.fringe_period,
                        self.h * self.nu / self.V, default_kappa(self))
         except ArithmeticError as exc:
             raise ValueError(f"a derived quantity is out of range ({exc})") from None
@@ -98,14 +102,23 @@ class TwoWaveState:
     @classmethod
     def from_corpuscle_speed(cls, v12: float, theta0: float, delta_phase: float,
                              m0: float) -> "TwoWaveState":
-        """Consistent parametrization from the corpuscle speed v12 common to
-        both branches: M is the relativistic mass, nu = M c^2 / h, V = c^2/v12."""
-        if not 0 < v12 < cls.c:
-            raise ValueError("corpuscle speed must lie in (0, c)")
-        gamma = 1.0 / math.sqrt(1.0 - (v12 / cls.c) ** 2)
-        m_quantum = gamma * m0
-        return cls(nu=m_quantum * cls.c ** 2 / cls.h, V=cls.c ** 2 / v12,
-                   theta0=theta0, delta_phase=delta_phase, m0=m0, M=m_quantum)
+        """The state of these inputs, by name as a scenario gives them."""
+        return cls(v12, theta0, delta_phase, m0)
+
+    @property
+    def M(self) -> float:
+        """Quantum mass, kg: the relativistic mass gamma m0."""
+        return 1.0 / math.sqrt(1.0 - (self.v12 / self.c) ** 2) * self.m0
+
+    @property
+    def nu(self) -> float:
+        """Wave frequency M c^2 / h, 1/s."""
+        return self.M * self.c ** 2 / self.h
+
+    @property
+    def V(self) -> float:
+        """Phase speed c^2 / v12, m/s."""
+        return self.c ** 2 / self.v12
 
     @property
     def hbar(self) -> float:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DestructiveAnnihilationError, DimensionMismatchError
 from .validation import (
-    COMPATIBLE_TOL,
+    OVERLAP_TOL,
+    UNITARY_TOL,
     check_hermitian,
     check_rng,
     check_state_vector,
@@ -53,7 +54,7 @@ class ObservableSpec:
     def __post_init__(self):
         vals = check_strictly_increasing(self.eigenvalues,
                                          f"{self.name} eigenvalues")
-        basis = check_unitary(self.eigenbasis, dim=len(vals),
+        basis = check_unitary(self.eigenbasis, UNITARY_TOL, dim=len(vals),
                               name=f"{self.name} eigenbasis")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenbasis", basis)
@@ -74,7 +75,8 @@ class ObservableSpec:
 @dataclass(frozen=True)
 class TransformMatrix:
     """Basis-change matrix between two observables: entries[k, j] is the
-    overlap of target eigenvector k with source eigenvector j."""
+    overlap of target eigenvector k with source eigenvector j.  It is unitary
+    within OVERLAP_TOL, the bound that any two valid eigenbases meet."""
 
     source: str
     target: str
@@ -82,7 +84,8 @@ class TransformMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", check_unitary(
-            self.entries, name=f"transform {self.source} -> {self.target}"))
+            self.entries, OVERLAP_TOL,
+            name=f"transform {self.source} -> {self.target}"))
         self.entries.setflags(write=False)
 
     @property
@@ -204,10 +207,11 @@ def cross_term_expansion(weights, states, obs: ObservableSpec) -> CrossTermExpan
 
 
 def compatible(a: ObservableSpec, b: ObservableSpec) -> bool:
-    """Whether every |<v_k|u_j>| is within COMPATIBLE_TOL of 0 or 1: a and b
-    share their eigenvectors, so [A, B] = 0.  No eigenvalue is read."""
-    overlap = np.abs(b.eigenbasis.conj().T @ a.eigenbasis)
-    return bool(np.all(np.minimum(overlap, np.abs(overlap - 1)) <= COMPATIBLE_TOL))
+    """Whether every |<v_k|u_j>| of tau(a -> b) is within OVERLAP_TOL of 0 or
+    1: a and b share their eigenvectors, so [A, B] = 0.  No eigenvalue is
+    read."""
+    overlap = np.abs(transform_between(a, b).entries)
+    return bool(np.all(np.minimum(overlap, np.abs(overlap - 1)) <= OVERLAP_TOL))
 
 
 # --- construction helpers --------------------------------------------------

@@ -127,7 +127,7 @@ def law_vector(law) -> np.ndarray:
     vec = np.asarray(law, dtype=float)
     if vec.ndim != 1 or vec.size == 0:
         raise EmptyLawError("law vector must be a non-empty 1-D array")
-    if not (np.isfinite(vec).all() and abs(vec.sum() - 1.0) <= 1e-8
+    if not (np.isfinite(vec).all() and abs(vec.sum() - 1.0) <= AMPLITUDE_SUM_TOL
             and np.all(vec >= 0)):
         raise ValueError("law vector must be a finite probability vector")
     return vec
@@ -244,11 +244,12 @@ def retrieve_phases(law_a,
     for name, law in laws_others.items():
         if name not in taus:
             raise UnlinkedObservableError(f"no transform to partner {name!r}")
-        tau = taus[name]
-        if tau.dim != d:
+        tau, vec = taus[name], law_vector(law)
+        if tau.dim != d or vec.shape[0] != d:
             raise DimensionMismatchError(
-                f"transform to {name!r} has dim {tau.dim}, reference has {d}")
-        partners.append((tau.entries, law_vector(law)))
+                f"transform to {name!r} has dim {tau.dim} and its law length "
+                f"{vec.shape[0]}, reference has {d}")
+        partners.append((tau.entries, vec))
     tau, law = map(np.concatenate, zip(*partners))
 
     # anchor the optimization gauge on the largest amplitude: fixing a

@@ -19,8 +19,11 @@ UNITARY_TOL = 1e-10
 # Eigenbases that pass check_unitary (|U^H U - I| <= UNITARY_TOL = t
 # entrywise, so ||U^H U - I||_2 <= d t) lie within d t / 2 of unitaries, to
 # first order; when those share their eigenvectors, the overlaps |<v_k|u_j>|
-# lie within d t of 0 or 1.  Doubled at MAX_DIM for higher orders and rounding
-COMPATIBLE_TOL = 2 * MAX_DIM * UNITARY_TOL
+# lie within d t of 0 or 1.  The transform tau = V^H U between two such bases
+# has tau^H tau - I = (U^H U - I) + U^H (V V^H - I) U, whose entries are at
+# most t + d t, so (d + 1) t.  Doubled at MAX_DIM for higher orders and
+# rounding, this bounds both the overlaps and the transform's unitarity
+OVERLAP_TOL = 2 * MAX_DIM * UNITARY_TOL
 HERMITIAN_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
 
@@ -54,12 +57,12 @@ def check_square_matrix(m, dim=None, name="matrix") -> np.ndarray:
     return arr
 
 
-def check_unitary(m, dim=None, name="matrix") -> np.ndarray:
+def check_unitary(m, tol, dim=None, name="matrix") -> np.ndarray:
+    """Square ``m`` with every entry of m^H m - I within ``tol``."""
     arr = check_square_matrix(m, dim, name)
     defect = np.max(np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])))
-    if defect > UNITARY_TOL:
-        raise ValueError(
-            f"{name} is not unitary within {UNITARY_TOL} (defect {defect:.3e})")
+    if defect > tol:
+        raise ValueError(f"{name} is not unitary within {tol} (defect {defect:.3e})")
     return arr
 
 

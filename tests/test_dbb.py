@@ -379,8 +379,8 @@ def test_density_bound_is_valid(rng):
 
 def test_two_wave_state_invariants():
     with pytest.raises(ValueError):
-        TwoWaveState(nu=1e20, V=1e9, theta0=2.0, delta_phase=0.0,
-                     m0=9.1e-31, M=9.1e-31)  # cos(theta0) < 0 -> chi < 0
+        TwoWaveState(v12=1e6, theta0=2.0, delta_phase=0.0,
+                     m0=9.1e-31)  # cos(theta0) < 0 -> chi < 0
     with pytest.raises(ValueError):
         TwoWaveState.from_corpuscle_speed(v12=4e8, theta0=0.1,
                                           delta_phase=0.0, m0=9.1e-31)

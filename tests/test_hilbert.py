@@ -21,6 +21,7 @@ from qfact.hilbert import (
     transform_between,
 )
 from qfact.genesis import Simple, run_successions
+from qfact.validation import OVERLAP_TOL
 
 
 def born_law_oracle(state_amps, eigenbasis):
@@ -121,6 +122,14 @@ def test_transform_dimension_mismatch_names_both(std_basis_2):
                        match="^observables A of dimension 2 and D of dimension 3$"):
         transform_between(std_basis_2, hilbert.basis_observable("D", 3))
 
+
+def test_transform_beyond_overlap_tol_refused_naming_pair():
+    # diag(1 + x) has a defect of 2x + x^2: refused at x = OVERLAP_TOL,
+    # taken at a quarter of it
+    with pytest.raises(ValueError, match=r"^transform A -> B is not unitary "
+                                         r"within 3\.2e-09 \(defect 6\.400e-09\)$"):
+        hilbert.TransformMatrix("A", "B", np.diag([1 + OVERLAP_TOL, 1.0, 1.0]))
+    hilbert.TransformMatrix("A", "B", np.diag([1 + OVERLAP_TOL / 4, 1.0, 1.0]))
 
 def test_dirac_transform_preserves_norm(rng):
     for _ in range(20):

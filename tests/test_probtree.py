@@ -117,6 +117,20 @@ def test_perturbed_shared_eigenbasis_one_group(dim):
         assert members([a, b]) == [("A", "B")]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+def test_transform_of_perturbed_bases_within_first_order_bound(dim):
+    # 400 pairs per dimension: two eigenbases each within UNITARY_TOL = t
+    # have a transform within (d + 1) t of unitary, so below OVERLAP_TOL
+    rng = np.random.default_rng([5, dim])
+    worst = 0.0
+    for _ in range(400):
+        a, b = (ObservableSpec(name, np.arange(dim, dtype=float),
+                               perturbed(random_unitary(dim, rng), rng))
+                for name in "AB")
+        tau = transform_between(a, b).entries
+        worst = max(worst, np.abs(tau.conj().T @ tau - np.eye(dim)).max())
+    assert worst <= (dim + 1) * UNITARY_TOL
+
 # --- build_tree -------------------------------------------------------------
 
 def test_single_observable_trunk_only(rng, abc_observables):

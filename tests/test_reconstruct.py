@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfact import cli, finprob, hilbert, reconstruct
-from qfact.errors import InconsistentLawsError, UnlinkedObservableError
+from qfact.errors import DimensionMismatchError, InconsistentLawsError, UnlinkedObservableError
 from qfact.hilbert import OracleState, basis_observable, born_law, random_observable, random_state, transform_between
 from qfact.reconstruct import (
     RetrievalConfig,
@@ -114,6 +114,14 @@ def test_inconsistent_laws_rejected():
         retrieve_phases(np.array([1.0, 0.0]), {"B": np.array([0.5, 0.5])},
                         {"B": tau})
 
+
+@pytest.mark.parametrize("law,dim", [([0.3, 0.3, 0.4], 2), ([0.5, 0.5], 3)],
+                         ids=["law_length", "transform_dim"])
+def test_partner_dimension_mismatch_named(law, dim):
+    # a partner's law and transform both have the reference's length
+    with pytest.raises(DimensionMismatchError, match="'B'"):
+        retrieve_phases(np.array([0.5, 0.5]), {"B": np.array(law)},
+                        {"B": hilbert.TransformMatrix("A", "B", np.eye(dim))})
 
 def test_gauge_invariance_of_residual(rng):
     psi = random_state(3, rng)
